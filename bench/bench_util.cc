@@ -1,8 +1,11 @@
 #include "bench_util.h"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 
 #include "common/string_util.h"
 
@@ -95,6 +98,58 @@ PreparedTable Prepare(const LoadedDataset& ds,
 
 std::string Fmt(double v, int decimals) {
   return StringFormat("%.*f", decimals, v);
+}
+
+namespace {
+
+std::string ReadFirstLine(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  return line;
+}
+
+// Sysfs cache sizes read like "2048K" or "300M".
+uint64_t ParseCacheSize(const std::string& text) {
+  char* end = nullptr;
+  const uint64_t value = std::strtoull(text.c_str(), &end, 10);
+  if (*end == 'K') return value << 10;
+  if (*end == 'M') return value << 20;
+  return value;
+}
+
+}  // namespace
+
+std::vector<std::pair<std::string, std::string>> HostContext() {
+  std::vector<std::pair<std::string, std::string>> context;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t start = line.find_first_not_of(' ', colon + 1);
+    if (start != std::string::npos) {
+      context.emplace_back("host_cpu_model", line.substr(start));
+    }
+    break;
+  }
+  cpu_set_t cpus;
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
+    context.emplace_back("host_num_cpus", std::to_string(CPU_COUNT(&cpus)));
+  }
+  for (int index = 0;; ++index) {
+    const std::string dir = "/sys/devices/system/cpu/cpu0/cache/index" +
+                            std::to_string(index) + "/";
+    const std::string level = ReadFirstLine(dir + "level");
+    if (level.empty()) break;
+    if (ReadFirstLine(dir + "type") != "Unified") continue;
+    if (level != "2" && level != "3") continue;
+    const uint64_t bytes = ParseCacheSize(ReadFirstLine(dir + "size"));
+    if (bytes > 0) {
+      context.emplace_back("host_l" + level + "_bytes", std::to_string(bytes));
+    }
+  }
+  return context;
 }
 
 }  // namespace hamlet::bench

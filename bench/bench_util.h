@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/advisor.h"
@@ -64,6 +65,14 @@ PreparedTable Prepare(const LoadedDataset& ds,
 
 /// Formats a double with fixed decimals.
 std::string Fmt(double v, int decimals = 4);
+
+/// The host a BENCH file was recorded on, as (context key, value) pairs:
+/// host_cpu_model, host_num_cpus (CPUs this process may run on), and
+/// host_l2_bytes / host_l3_bytes (unified cache sizes). A key whose
+/// value the platform does not report is left out.
+/// scripts/compare_bench.py refuses to compare files whose fingerprints
+/// differ.
+std::vector<std::pair<std::string, std::string>> HostContext();
 
 }  // namespace hamlet::bench
 

@@ -13,6 +13,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "bench_util.h"
 #include "common/parallel_for.h"
 #include "relational/csv.h"
 #include "core/advisor.h"
@@ -226,10 +227,6 @@ void BM_HashJoin(benchmark::State& state) {
   auto& s = HashJoinBenchState::Get();
   JoinOptions options;
   options.num_threads = static_cast<uint32_t>(state.range(0));
-  // This bench pins the monolithic CSR path (its 10k-code build side is
-  // cache-resident, CSR's home turf); the radix comparison below uses a
-  // build side large enough that the choice matters.
-  options.algorithm = JoinAlgorithm::kCsr;
   for (auto _ : state) {
     auto t = HashJoin(s.left, s.right, "K", "K2", options);
     if (!t.ok()) std::abort();
@@ -240,16 +237,10 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-// --- Radix vs monolithic CSR at a build side whose code range dwarfs
-// a conventional LLC: 2^20 build rows over a 2^20-code domain (4 MB of
+// --- The CSR join at a build side whose code range dwarfs a
+// conventional LLC: 2^20 build rows over a 2^20-code domain (4 MB of
 // CSR offsets + 4 MB of bucket rows), probed by 1M rows with a skewed
-// key mix (half hit 1k hot keys, half spread uniformly). The radix path
-// partitions both sides into ~8 KB code sub-ranges before building and
-// probing. The measured ratio is hardware-dependent — see
-// docs/PERFORMANCE.md "Join algorithm matrix" for why a huge-LLC/
-// high-MLP machine lands near parity while a conventional hierarchy
-// favors radix; the pair exists so every BENCH trajectory records the
-// ratio kAuto's cost profile acts on for this box. ---
+// key mix (half hit 1k hot keys, half spread uniformly). ---
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -258,13 +249,13 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-struct RadixJoinBenchState {
+struct HashJoin1MBenchState {
   Table left;
   Table right;
 
-  static RadixJoinBenchState& Get() {
-    static RadixJoinBenchState* state = [] {
-      auto* s = new RadixJoinBenchState();
+  static HashJoin1MBenchState& Get() {
+    static HashJoin1MBenchState* state = [] {
+      auto* s = new HashJoin1MBenchState();
       constexpr uint32_t kBuildRows = 1u << 20;
       constexpr uint32_t kProbeRows = 1000000;
       auto keys = Domain::Dense(kBuildRows, "k");
@@ -304,10 +295,9 @@ struct RadixJoinBenchState {
 };
 
 void BM_HashJoin1M(benchmark::State& state) {
-  auto& s = RadixJoinBenchState::Get();
+  auto& s = HashJoin1MBenchState::Get();
   JoinOptions options;
   options.num_threads = static_cast<uint32_t>(state.range(0));
-  options.algorithm = JoinAlgorithm::kCsr;
   for (auto _ : state) {
     auto t = HashJoin(s.left, s.right, "K", "K2", options);
     if (!t.ok()) std::abort();
@@ -317,97 +307,6 @@ void BM_HashJoin1M(benchmark::State& state) {
   state.SetLabel(options.num_threads == 1 ? "serial" : "hw");
 }
 BENCHMARK(BM_HashJoin1M)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-void BM_RadixHashJoin(benchmark::State& state) {
-  auto& s = RadixJoinBenchState::Get();
-  JoinOptions options;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
-  options.algorithm = JoinAlgorithm::kRadix;
-  for (auto _ : state) {
-    auto t = HashJoin(s.left, s.right, "K", "K2", options);
-    if (!t.ok()) std::abort();
-    benchmark::DoNotOptimize(t->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * s.left.num_rows());
-  state.SetLabel(options.num_threads == 1 ? "serial" : "hw");
-}
-BENCHMARK(BM_RadixHashJoin)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-// --- Bloom semi-join pre-filter at ~1% probe selectivity: a 10k-row
-// build side scattered across a 2^20-code domain, probed by 1M uniform
-// rows, so ~99% of probe rows can never match. The filter (~16 KB,
-// L1-resident) answers those rows without touching the CSR offsets at
-// all. Args are (algorithm, bloom). Acceptance bar
-// (docs/PERFORMANCE.md): radix bloom-on >= 2x radix bloom-off — on the
-// radix path dropped rows also skip the partition scatter via the
-// keep-bitmap, which is where the filter earns its keep. The CSR arms
-// document the honest counter-case: with memory-level parallelism
-// hiding the probe misses the filter would skip, CSR bloom-on is a
-// small LOSS, which is why kAuto's filter heuristic keys on build-side
-// coverage rather than unconditionally filtering. ---
-
-struct BloomBenchState {
-  Table left;
-  Table right;
-
-  static BloomBenchState& Get() {
-    static BloomBenchState* state = [] {
-      auto* s = new BloomBenchState();
-      constexpr uint32_t kDomain = 1u << 20;
-      constexpr uint32_t kBuildRows = 10240;
-      constexpr uint32_t kProbeRows = 1000000;
-      auto keys = Domain::Dense(kDomain, "k");
-      auto values = Domain::Dense(64, "v");
-
-      std::vector<uint32_t> r_key(kBuildRows), r_val(kBuildRows);
-      for (uint32_t i = 0; i < kBuildRows; ++i) {
-        r_key[i] = (i * 104729u) & (kDomain - 1);  // Distinct, scattered.
-        r_val[i] = i & 63;
-      }
-      s->right = Table(
-          "R",
-          Schema({ColumnSpec::Feature("K2"), ColumnSpec::Feature("VR")}),
-          {Column(std::move(r_key), keys),
-           Column(std::move(r_val), values)});
-
-      std::vector<uint32_t> l_key(kProbeRows), l_val(kProbeRows);
-      for (uint32_t i = 0; i < kProbeRows; ++i) {
-        l_key[i] = SplitMix64(i) & (kDomain - 1);  // ~1% hit the build.
-        l_val[i] = i & 63;
-      }
-      s->left = Table(
-          "L",
-          Schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("VL")}),
-          {Column(std::move(l_key), keys),
-           Column(std::move(l_val), values)});
-      return s;
-    }();
-    return *state;
-  }
-};
-
-void BM_BloomFilterProbe(benchmark::State& state) {
-  auto& s = BloomBenchState::Get();
-  JoinOptions options;
-  options.algorithm = state.range(0) == 0 ? JoinAlgorithm::kCsr
-                                          : JoinAlgorithm::kRadix;
-  options.bloom = state.range(1) == 0 ? BloomFilterMode::kOff
-                                      : BloomFilterMode::kOn;
-  for (auto _ : state) {
-    auto t = HashJoin(s.left, s.right, "K", "K2", options);
-    if (!t.ok()) std::abort();
-    benchmark::DoNotOptimize(t->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * s.left.num_rows());
-  state.SetLabel(std::string(state.range(0) == 0 ? "csr" : "radix") +
-                 (state.range(1) == 0 ? "/bloom_off" : "/bloom_on"));
-}
-BENCHMARK(BM_BloomFilterProbe)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
 
 // --- Naive Bayes training throughput (rows x features / s). ---
 void BM_NaiveBayesTrain(benchmark::State& state) {
@@ -1167,6 +1066,9 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("hamlet_build_type", "debug");
 #endif
+  for (const auto& [key, value] : hamlet::bench::HostContext()) {
+    benchmark::AddCustomContext(key, value);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

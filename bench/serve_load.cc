@@ -35,6 +35,7 @@
 #include <fstream>
 #include <string>
 
+#include "bench_util.h"
 #include "common/json_writer.h"
 #include "serve/load_gen.h"
 
@@ -261,6 +262,12 @@ int main(int argc, char** argv) {
 #else
     w.String("debug");
 #endif
+    // The host fingerprint the micro benches stamp too: compare_bench.py
+    // refuses cross-host diffs.
+    for (const auto& [key, value] : hamlet::bench::HostContext()) {
+      w.Key(key);
+      w.String(value);
+    }
     w.EndObject();
     w.Key("benchmarks");
     w.BeginArray();

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "data/encoded_dataset.h"
 #include "datasets/registry.h"
 #include "ml/decision_tree.h"
@@ -128,6 +129,9 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("hamlet_build_type", "debug");
 #endif
+  for (const auto& [key, value] : hamlet::bench::HostContext()) {
+    benchmark::AddCustomContext(key, value);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -350,9 +350,10 @@ int main(int argc, char** argv) {
   if (!metrics_jsonl_path.empty()) {
     const obs::TraceSummary summary =
         obs::SummarizeTrace(obs::Tracer::Global().Collect(), metrics);
+    const obs::CostProfile costs = obs::CostProfileStore::Global().Snapshot();
     obs::JsonlExporter exporter;
     auto st = exporter.Open(metrics_jsonl_path);
-    if (st.ok()) st = exporter.Flush(metrics, &summary);
+    if (st.ok()) st = exporter.Flush(metrics, &summary, &costs);
     if (!st.ok()) {
       std::fprintf(stderr, "metrics export failed: %s\n",
                    st.ToString().c_str());

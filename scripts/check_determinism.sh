@@ -9,11 +9,9 @@
 # pipeline's lock-free sharded histograms, cross-thread span
 # propagation, and concurrent registry snapshots (the writer-storm test)
 # are exactly the code most likely to hide a data race.
-# A third pass runs the joins-labeled suite (tests/radix_join_test.cc)
-# under TSAN: the radix partitioner's two-pass parallel scatter, the
-# Bloom filter's relaxed-atomic parallel build, and the per-partition
-# join passes all write shared arrays from ParallelFor workers.
-# A fourth pass runs the sharded serving data plane
+# The joins' parallel probe and output gathers run under the first
+# pass: its Determinism pattern matches JoinDeterminismTest.*.
+# A third pass runs the sharded serving data plane
 # (tests/service_shard_determinism_test.cc + the artifact store's
 # concurrent shared-lock hit tests): N dispatcher threads draining MPSC
 # queues, load shedding, deadline expiry, the generation-validated warm
@@ -43,10 +41,6 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure \
 # The observability suite (metrics/trace/exporter/cost-profile tests,
 # label `obs`) under the same TSAN build.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L obs "$@"
-
-# The join engine lockdown (radix partitioner, Bloom filter, radix-vs-CSR
-# equivalence, label `joins`) under the same TSAN build.
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -L joins "$@"
 
 # The sharded scoring data plane (multi-queue dispatch, admission
 # control, warm cache) and the artifact store's concurrent hit path.

@@ -3,6 +3,9 @@
 
 Usage: compare_bench.py OLD.json NEW.json [--threshold 0.10]
 
+Refuses (exit 2) to compare files recorded by different hamlet build
+types or on different hosts: a ratio across either is not a regression.
+
 Benchmarks are matched by full name ("BM_Foo/25"). Only the feature
 selection / Naive Bayes microbenches gate (see GATED below) — the rest of
 the suite is reported but informational, since e.g. the obs probes sit at
@@ -24,8 +27,7 @@ import sys
 # ns per scored row so a throughput drop reads as a real_time
 # regression),
 # the data-plane ingest/join fast paths (docs/PERFORMANCE.md "Ingest
-# & join fast path" and "Join algorithm matrix": BM_ReadCsv*,
-# BM_HashJoin*, BM_KfkJoin, BM_RadixHashJoin, BM_BloomFilterProbe), the
+# & join fast path": BM_ReadCsv*, BM_HashJoin*, BM_KfkJoin), the
 # factorized-learning family (docs/PERFORMANCE.md "Factorized training":
 # BM_Factorized*, BM_MaterializedStatsBuild), and the observability cost
 # contract (docs/OBSERVABILITY.md: BM_HistogramRecord* — the prefix
@@ -34,7 +36,7 @@ import sys
 GATED = re.compile(
     r"^BM_(NBTrain|NaiveBayesTrain|GreedyForward|ForwardSelection"
     r"|MiFilterScoring|SerdeSave|SerdeLoad|ServeScore|ServeLoad"
-    r"|ReadCsv|HashJoin|KfkJoin|RadixHashJoin|BloomFilterProbe"
+    r"|ReadCsv|HashJoin|KfkJoin"
     r"|Factorized|MaterializedStatsBuild"
     r"|HistogramRecord|TraceSpanPropagated"
     r"|TreeTrain|GbtTrain)"
@@ -53,6 +55,48 @@ def build_type(path):
     with open(path) as f:
         doc = json.load(f)
     return doc.get("context", {}).get("hamlet_build_type", "unknown")
+
+
+def unified_cache_bytes(context, level):
+    """Size of the unified cache at `level` from google-benchmark's stock
+    "caches" context list, or None when the file does not record it."""
+    for cache in context.get("caches", []):
+        if cache.get("level") == level and cache.get("type") == "Unified":
+            return int(cache["size"])
+    return None
+
+
+def host(path):
+    """Host fingerprint recorded in a BENCH file's context.
+
+    The bench binaries stamp "host_cpu_model", "host_num_cpus",
+    "host_l2_bytes" and "host_l3_bytes". Files from before the stamp
+    still carry google-benchmark's stock "num_cpus" and "caches", which
+    stand in for all but the CPU model. Fields a file does not record
+    map to None and are skipped by the comparison.
+    """
+    with open(path) as f:
+        context = json.load(f).get("context", {})
+
+    def stamped(key, fallback):
+        value = context.get(key)
+        return int(value) if value is not None else fallback
+
+    return {
+        "cpu_model": context.get("host_cpu_model"),
+        "num_cpus": stamped("host_num_cpus", context.get("num_cpus")),
+        "l2_bytes": stamped("host_l2_bytes",
+                            unified_cache_bytes(context, 2)),
+        "l3_bytes": stamped("host_l3_bytes",
+                            unified_cache_bytes(context, 3)),
+    }
+
+
+def host_mismatches(old, new):
+    """Fingerprint fields both files record and that differ."""
+    return [(key, old[key], new[key]) for key in old
+            if old[key] is not None and new[key] is not None
+            and old[key] != new[key]]
 
 
 def load(path):
@@ -105,6 +149,15 @@ def main():
               f"(hamlet_build_type={bt_old}) against {args.new} "
               f"(hamlet_build_type={bt_new}): debug-vs-release ratios "
               "are meaningless", file=sys.stderr)
+        return 2
+
+    mismatches = host_mismatches(host(args.old), host(args.new))
+    if mismatches:
+        detail = ", ".join(f"{key} {a!r} vs {b!r}"
+                           for key, a, b in mismatches)
+        print(f"compare_bench: refusing to compare {args.old} against "
+              f"{args.new}: recorded on different hosts ({detail}); "
+              "cross-host ratios are not regressions", file=sys.stderr)
         return 2
 
     old = load(args.old)

@@ -105,7 +105,7 @@ if [[ "${SERVE_LOAD}" == 1 ]]; then
 fi
 
 python3 - "${OUT}" "${PARTS[@]}" <<'EOF'
-import json, sys
+import json, os, sys
 out, parts = sys.argv[1], sys.argv[2:]
 docs = [json.load(open(p)) for p in parts]
 merged = docs[0]
@@ -117,8 +117,14 @@ for doc in docs[1:]:
     merged["benchmarks"].extend(doc.get("benchmarks", []))
     if "serve_load" in doc:
         merged["serve_load"] = doc["serve_load"]
-with open(out, "w") as f:
+# Write to a temporary file, read it back, and only then rename it into
+# place, so an interrupted run never leaves a truncated BENCH file.
+tmp = out + ".tmp"
+with open(tmp, "w") as f:
     json.dump(merged, f, indent=1)
+with open(tmp) as f:
+    json.load(f)
+os.replace(tmp, out)
 EOF
 rm -f "${PARTS[@]}"
 

@@ -148,20 +148,6 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
   // training and candidate scoring take the original scan paths.
   ScopedSuffStatsBypass scan_only(config.force_scan_eval);
 
-  // Seed JoinAlgorithm::kAuto with earlier runs' measurements before any
-  // join executes. Best effort: a missing or unreadable profile just
-  // leaves kAuto on its size heuristic.
-  {
-    const std::string profile_path = PathFromConfigOrEnv(
-        config.cost_profile_path, "HAMLET_COST_PROFILE");
-    if (!profile_path.empty()) {
-      const Status seeded =
-          obs::CostProfileStore::Global().SeedCalibrationFromFile(
-              profile_path);
-      (void)seeded;
-    }
-  }
-
   PipelineReport report;
   report.avoidance_applied = config.enable_join_avoidance;
 
@@ -269,7 +255,6 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
         Timer join_timer;
         JoinOptions join_options;
         join_options.num_threads = config.num_threads;
-        join_options.algorithm = config.join_algorithm;
         HAMLET_ASSIGN_OR_RETURN(table,
                                 dataset.JoinSubset(to_join, join_options));
         report.join_seconds = join_timer.ElapsedSeconds();
@@ -321,27 +306,22 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
     report.trace = obs::Tracer::Global().Collect();
     report.trace_summary = obs::SummarizeTrace(report.trace, snapshot);
 
-    // Structured export: one JSONL snapshot line per traced run, and the
-    // run's operator cost observations merged into the persisted
-    // profile. Export failures are reported, not fatal — a read-only
-    // artifacts/ directory must not fail the analysis itself.
+    // Structured export: one JSONL line per traced run, carrying the
+    // metrics, the stage tree and the run's operator cost records.
+    // Export failures are reported, not fatal — a read-only artifacts/
+    // directory must not fail the analysis itself.
     const std::string jsonl_path = PathFromConfigOrEnv(
         config.metrics_jsonl_path, "HAMLET_METRICS_JSONL");
     if (!jsonl_path.empty()) {
+      const obs::CostProfile costs =
+          obs::CostProfileStore::Global().Snapshot();
       obs::JsonlExporter exporter;
       Status st = exporter.Open(jsonl_path);
-      if (st.ok()) st = exporter.Flush(snapshot, &report.trace_summary);
+      if (st.ok()) {
+        st = exporter.Flush(snapshot, &report.trace_summary, &costs);
+      }
       if (!st.ok()) {
         std::cerr << "hamlet: metrics export failed: " << st << "\n";
-      }
-    }
-    const std::string profile_path = PathFromConfigOrEnv(
-        config.cost_profile_path, "HAMLET_COST_PROFILE");
-    if (!profile_path.empty()) {
-      const Status st =
-          obs::CostProfileStore::Global().MergeIntoFile(profile_path);
-      if (!st.ok()) {
-        std::cerr << "hamlet: cost-profile export failed: " << st << "\n";
       }
     }
   } else {

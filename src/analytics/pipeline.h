@@ -61,12 +61,9 @@ struct PipelineConfig {
   /// thread, 1 = serial). Selections are bit-for-bit identical at any
   /// setting; only the runtime changes.
   uint32_t num_threads = 0;
-  /// Physical algorithm for the joins the plan keeps (join.h). kAuto
-  /// consults the cost-profile store — seeded from cost_profile_path /
-  /// HAMLET_COST_PROFILE at run start, so calibration from earlier runs
-  /// steers later ones — and falls back to a size heuristic. Results are
-  /// bit-identical for every choice.
-  JoinAlgorithm join_algorithm = JoinAlgorithm::kAuto;
+  /// Ignored: joins have a single physical path. Retained only so
+  /// existing callers that assign it keep compiling (see JoinAlgorithm).
+  JoinAlgorithm join_algorithm = JoinAlgorithm::kCsr;
   /// Collect a span tree + metrics for this run (see docs/OBSERVABILITY.md).
   /// The HAMLET_TRACE environment variable turns tracing on as well; when
   /// both are off, instrumentation costs a single predictable branch.
@@ -91,17 +88,12 @@ struct PipelineConfig {
   /// runs — fall back to materialization. PipelineReport::factorized
   /// says which path ran.
   bool avoid_materialization = false;
-  /// When non-empty (and the run is traced), append one structured
+  /// When non-empty (and the run is traced), write one structured
   /// metrics snapshot line to this JSONL file at the end of the run
-  /// (obs/exporter.h). The HAMLET_METRICS_JSONL environment variable
-  /// supplies a path as well; an explicit config value wins.
+  /// (obs/exporter.h), carrying the run's operator cost records
+  /// (obs/cost_profile.h) as well. The HAMLET_METRICS_JSONL environment
+  /// variable supplies a path as well; an explicit config value wins.
   std::string metrics_jsonl_path;
-  /// When non-empty (and the run is traced), merge the run's operator
-  /// cost observations into this JSON file (obs/cost_profile.h) so
-  /// repeated runs accumulate planner calibration data. The
-  /// HAMLET_COST_PROFILE environment variable supplies a path as well;
-  /// an explicit config value wins.
-  std::string cost_profile_path;
 };
 
 /// Everything one pipeline run produces.

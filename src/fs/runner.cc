@@ -18,8 +18,8 @@ namespace {
 
 // Reports one finished search to the operator cost profile. `op`
 // distinguishes the materialized and factorized paths — their relative
-// cost at matched features is exactly the join-or-avoid trade-off the
-// calibrated planner needs. build_rows carries the candidate count (the
+// cost at matched features is exactly the join-or-avoid trade-off a
+// cost model would learn. build_rows carries the candidate count (the
 // search's work-list width); models_trained lands in rows_out since a
 // search "produces" trained models, not rows.
 void RecordSearchCost(const char* op, uint32_t data_rows,

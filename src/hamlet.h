@@ -8,14 +8,12 @@
 /// finer-grained option.
 
 // Shared runtime (deterministic parallelism substrate).
-#include "common/bloom.h"              // Blocked Bloom semi-join filter.
 #include "common/parallel_for.h"       // Indexed data-parallel loops.
-#include "common/radix_partition.h"    // Deterministic radix scatter.
 #include "common/thread_pool.h"        // Persistent shared worker pool.
 
 // Observability (tracing, metrics, explain-style run reports).
 #include "common/json_writer.h"        // Hand-rolled JSON serializer.
-#include "obs/cost_profile.h"          // Persisted operator cost records.
+#include "obs/cost_profile.h"          // Write-only operator cost records.
 #include "obs/exporter.h"              // JSONL + Prometheus export.
 #include "obs/metrics.h"               // Counters + latency histograms.
 #include "obs/report.h"                // Explain tree + Chrome JSON.
@@ -27,7 +25,6 @@
 #include "relational/csv.h"            // Ingestion/export.
 #include "relational/functional_deps.h"  // Corollary C.1 machinery.
 #include "relational/join.h"           // KFK + hash joins.
-#include "relational/radix_join.h"     // Radix-partitioned join path.
 #include "relational/select.h"         // Row selection.
 #include "relational/table.h"
 

@@ -2,28 +2,23 @@
 #define HAMLET_OBS_COST_PROFILE_H_
 
 /// \file cost_profile.h
-/// Persisted per-operator cost calibration — the bridge between the
-/// telemetry pipeline and the cost-calibrated join-or-avoid planner on
-/// the roadmap. While collection is enabled, instrumented operators
-/// (join.kfk, join.hash, ingest.csv, fs.search, serve.score) report each
-/// execution's measured input features and phase timings here; the store
-/// aggregates them into one CostRecord per distinct feature vector, and
-/// MergeIntoFile folds the window's records into a JSON file under
-/// artifacts/ so repeated runs accumulate training data for a learned
-/// cost model instead of throwing their measurements away.
+/// Write-only per-operator cost records. While collection is enabled,
+/// instrumented operators (join.kfk, join.hash, ingest.csv, fs.search.*,
+/// serve.score) report each execution's measured input features and
+/// phase timings here; the store aggregates them into one CostRecord per
+/// distinct feature vector. Nothing in the library reads the records
+/// back: they leave the process as the `cost_records` field of the JSONL
+/// metrics flush (obs/exporter.h), the single telemetry export path.
 ///
 /// Feature vectors deliberately mirror the join-feature sets cost-model
 /// work keys on (rows in/out, build-side size, distinct key count,
 /// thread count): they are everything a planner knows *before* running
-/// the operator, so records double as (features → observed cost)
-/// training pairs.
+/// the operator, so records double as (features -> observed cost)
+/// training pairs for an offline cost model.
 ///
-/// Determinism/round-trip contract: records live in a std::map keyed by
-/// the features' canonical string, every persisted field is an integer,
-/// and WriteJson emits keys in sorted order — so load → merge(empty) →
-/// save reproduces a file byte for byte (pinned by
-/// tests/cost_profile_test.cc), and concurrent writers cannot corrupt a
-/// profile because SaveToFile publishes via tmp + rename.
+/// Records live in a std::map keyed by the features' canonical string
+/// and every field is an integer, so an export of a given profile is
+/// deterministic.
 ///
 /// Cost contract: Record() is gated on obs::Enabled() at the call sites
 /// (operators only assemble features while a collection window is open)
@@ -33,11 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
-#include <string_view>
-
-#include "common/status.h"
 
 namespace hamlet::obs {
 
@@ -54,7 +45,6 @@ struct OperatorFeatures {
   uint32_t num_threads = 0;    ///< ParallelFor shards the execution used.
   /// Dispatcher shards of the serving data plane the execution ran
   /// under (serve.score); 0 for operators without a dispatch dimension.
-  /// Absent in pre-shard files (schema v1 kept): defaults to 0.
   uint32_t shards = 0;
 
   /// Canonical map key: op|rows_in|rows_out|build_rows|distinct_keys|
@@ -69,10 +59,6 @@ struct CostObservation {
   uint64_t build_ns = 0;
   uint64_t probe_ns = 0;
   uint64_t materialize_ns = 0;
-  /// Radix-path phases (join.radix / join.radix.kfk): the two-pass
-  /// partition scatter and the Bloom pre-filter build. 0 elsewhere.
-  uint64_t partition_ns = 0;
-  uint64_t bloom_build_ns = 0;
 };
 
 /// Aggregate of every observation sharing one feature vector.
@@ -85,11 +71,8 @@ struct CostRecord {
   uint64_t build_ns_sum = 0;
   uint64_t probe_ns_sum = 0;
   uint64_t materialize_ns_sum = 0;
-  uint64_t partition_ns_sum = 0;
-  uint64_t bloom_build_ns_sum = 0;
 
   void Add(const CostObservation& obs);
-  void Merge(const CostRecord& other);
 
   /// Mean total cost (0 when no observations).
   uint64_t MeanTotalNs() const {
@@ -97,18 +80,12 @@ struct CostRecord {
   }
 };
 
-/// A set of cost records keyed by OperatorFeatures::Key(), with JSON
-/// persistence. Not thread-safe; CostProfileStore provides the locked
-/// process-wide instance.
+/// A set of cost records keyed by OperatorFeatures::Key(). Not
+/// thread-safe; CostProfileStore provides the locked process-wide
+/// instance.
 class CostProfile {
  public:
-  /// Current on-disk schema version (the loader rejects newer files).
-  static constexpr int kSchemaVersion = 1;
-
   void Add(const OperatorFeatures& features, const CostObservation& obs);
-
-  /// Folds every record of `other` into this profile.
-  void Merge(const CostProfile& other);
 
   bool empty() const { return records_.empty(); }
   size_t size() const { return records_.size(); }
@@ -116,38 +93,13 @@ class CostProfile {
     return records_;
   }
 
-  /// Deterministic JSON dump (sorted keys, integer fields, trailing
-  /// newline) — see the \file block's round-trip contract.
-  void WriteJson(std::ostream& os) const;
-
-  /// WriteJson to `path` atomically (tmp + rename), creating parent
-  /// directories as needed.
-  Status SaveToFile(const std::string& path) const;
-
-  /// Parses a WriteJson document into `*this` (replacing its contents).
-  Status ParseJsonText(const std::string& text);
-
-  /// ParseJsonText on a file's contents. NotFound when the file does
-  /// not exist (so first runs can treat it as an empty profile).
-  Status LoadFromFile(const std::string& path);
-
-  /// Observation-weighted mean cost per probe row (total_ns / rows_in)
-  /// over every record of operator `op` whose build_rows lies within a
-  /// factor of 4 of `build_rows` — a log-scale neighborhood, because an
-  /// exact feature-vector hit is rare while per-row cost varies slowly
-  /// with build size. Returns 0 when no comparable record exists. This
-  /// is what JoinAlgorithm::kAuto ranks competing operators with
-  /// (relational/radix_join.h).
-  double MeanNsPerProbeRow(std::string_view op, uint64_t build_rows) const;
-
  private:
   std::map<std::string, CostRecord> records_;
 };
 
 /// The process-wide, mutex-protected sink operators report into while a
 /// collection window is open. ScopedCollection clears it at window
-/// start; the pipeline/serving shutdown paths drain it with
-/// MergeIntoFile.
+/// start; the pipeline's JSONL flush exports the window's records.
 class CostProfileStore {
  public:
   static CostProfileStore& Global();
@@ -160,31 +112,11 @@ class CostProfileStore {
 
   void Clear();
 
-  /// Loads `path` if it exists, merges this store's records into it,
-  /// and saves the union back atomically. The store keeps its records
-  /// (callers may merge into several files).
-  Status MergeIntoFile(const std::string& path) const;
-
-  /// Replaces the calibration profile with `path`'s contents. The
-  /// calibration profile is the feedback loop's memory: a previous run's
-  /// persisted measurements, consulted by MeanNsPerProbeRow when the
-  /// live window has no comparable record yet. It survives Clear() (and
-  /// therefore ScopedCollection window resets). NotFound is returned
-  /// as-is; callers seeding best-effort (the pipeline) ignore it.
-  Status SeedCalibrationFromFile(const std::string& path);
-  void ClearCalibration();
-
-  /// CostProfile::MeanNsPerProbeRow over the live window, falling back
-  /// to the seeded calibration profile when the window has no
-  /// comparable record.
-  double MeanNsPerProbeRow(std::string_view op, uint64_t build_rows) const;
-
  private:
   CostProfileStore() = default;
 
   mutable std::mutex mu_;
   CostProfile profile_;
-  CostProfile calibration_;
 };
 
 }  // namespace hamlet::obs

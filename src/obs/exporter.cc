@@ -44,11 +44,44 @@ void WriteHistogramJson(JsonWriter& w, const HistogramSnapshot& h) {
   w.EndObject();
 }
 
+void WriteCostRecordJson(JsonWriter& w, const CostRecord& r) {
+  w.BeginObject();
+  w.Key("op");
+  w.String(r.features.op);
+  w.Key("rows_in");
+  w.UInt(r.features.rows_in);
+  w.Key("rows_out");
+  w.UInt(r.features.rows_out);
+  w.Key("build_rows");
+  w.UInt(r.features.build_rows);
+  w.Key("distinct_keys");
+  w.UInt(r.features.distinct_keys);
+  w.Key("num_threads");
+  w.UInt(r.features.num_threads);
+  w.Key("shards");
+  w.UInt(r.features.shards);
+  w.Key("observations");
+  w.UInt(r.observations);
+  w.Key("total_ns_sum");
+  w.UInt(r.total_ns_sum);
+  w.Key("total_ns_min");
+  w.UInt(r.total_ns_min);
+  w.Key("total_ns_max");
+  w.UInt(r.total_ns_max);
+  w.Key("build_ns_sum");
+  w.UInt(r.build_ns_sum);
+  w.Key("probe_ns_sum");
+  w.UInt(r.probe_ns_sum);
+  w.Key("materialize_ns_sum");
+  w.UInt(r.materialize_ns_sum);
+  w.EndObject();
+}
+
 }  // namespace
 
 void WriteSnapshotJsonl(const MetricsSnapshot& snapshot,
                         const TraceSummary* summary, uint64_t seq,
-                        std::ostream& os) {
+                        std::ostream& os, const CostProfile* costs) {
   JsonWriter w(os);
   w.BeginObject();
   w.Key("seq");
@@ -92,6 +125,14 @@ void WriteSnapshotJsonl(const MetricsSnapshot& snapshot,
         w.EndObject();
       }
       w.EndObject();
+    }
+    w.EndArray();
+  }
+  if (costs != nullptr) {
+    w.Key("cost_records");
+    w.BeginArray();
+    for (const auto& [key, record] : costs->records()) {
+      WriteCostRecordJson(w, record);
     }
     w.EndArray();
   }
@@ -154,9 +195,10 @@ Status JsonlExporter::Open(const std::string& path) {
 }
 
 Status JsonlExporter::Flush(const MetricsSnapshot& snapshot,
-                            const TraceSummary* summary) {
+                            const TraceSummary* summary,
+                            const CostProfile* costs) {
   if (!out_.is_open()) return Status::OK();
-  WriteSnapshotJsonl(snapshot, summary, seq_, out_);
+  WriteSnapshotJsonl(snapshot, summary, seq_, out_, costs);
   out_.flush();
   if (!out_.good()) {
     return Status::IOError(

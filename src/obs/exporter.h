@@ -17,7 +17,10 @@
 ///    line N+1 minus line N is the activity of that window. Histogram
 ///    buckets are emitted sparsely (index/count pairs for non-empty
 ///    buckets only — the log-linear layout has 1408 buckets, almost all
-///    empty) along with precomputed p50/p90/p99.
+///    empty) along with precomputed p50/p90/p99. A flush may also carry
+///    the window's operator cost records (obs/cost_profile.h) as a
+///    `cost_records` array: the only place those records leave the
+///    process.
 ///
 ///  - Prometheus text exposition: DumpPrometheusText renders the same
 ///    snapshot as `# TYPE`-annotated counter and histogram families
@@ -34,26 +37,28 @@
 #include <string>
 
 #include "common/status.h"
+#include "obs/cost_profile.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 
 namespace hamlet::obs {
 
 /// Writes one snapshot as a single '\n'-terminated JSONL line.
-/// `summary` adds a "stages" array (depth-first) when non-null; `seq`
-/// stamps the line.
+/// `summary` adds a "stages" array (depth-first) when non-null; `costs`
+/// adds a "cost_records" array (one object per record, in key order)
+/// when non-null; `seq` stamps the line.
 void WriteSnapshotJsonl(const MetricsSnapshot& snapshot,
                         const TraceSummary* summary, uint64_t seq,
-                        std::ostream& os);
+                        std::ostream& os,
+                        const CostProfile* costs = nullptr);
 
 /// Renders a snapshot in the Prometheus text exposition format (see
 /// \file block for the naming/bucket mapping).
 void DumpPrometheusText(const MetricsSnapshot& snapshot, std::ostream& os);
 
 /// Append-only JSONL metrics log: each Flush() writes one line with the
-/// next sequence number. Open() truncates the target (a flush sequence
-/// belongs to one process run; cross-run accumulation is the cost
-/// profile's job, obs/cost_profile.h).
+/// next sequence number. Open() truncates the target: a flush sequence
+/// belongs to one process run.
 class JsonlExporter {
  public:
   JsonlExporter() = default;
@@ -72,7 +77,8 @@ class JsonlExporter {
   /// crash. No-op (ok) when not open, so callers can flush
   /// unconditionally behind a config flag.
   Status Flush(const MetricsSnapshot& snapshot,
-               const TraceSummary* summary = nullptr);
+               const TraceSummary* summary = nullptr,
+               const CostProfile* costs = nullptr);
 
  private:
   std::ofstream out_;

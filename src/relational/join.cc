@@ -3,20 +3,18 @@
 #include <algorithm>
 #include <atomic>
 
-#include "common/bloom.h"
 #include "common/parallel_for.h"
 #include "common/thread_pool.h"
 #include "common/string_util.h"
 #include "obs/cost_profile.h"
 #include "obs/trace.h"
-#include "relational/radix_join.h"
 
 namespace hamlet {
 
 namespace {
 
 // Shards a join actually runs with (0 = pool default), recorded as a
-// cost-profile feature so timings calibrate against real parallelism.
+// cost-record feature so timings pair with the real parallelism.
 uint32_t ResolvedThreads(uint32_t num_threads) {
   return num_threads == 0 ? ThreadPool::Global().DefaultShards()
                           : num_threads;
@@ -55,18 +53,6 @@ obs::Histogram& ProbeLatency() {
 obs::Histogram& MaterializeLatency() {
   static obs::Histogram& h =
       obs::MetricsRegistry::Global().GetHistogram("join.materialize_ns");
-  return h;
-}
-
-obs::Counter& ProbeSkippedCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("join.probe_skipped");
-  return counter;
-}
-
-obs::Histogram& BloomBuildLatency() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("join.bloom_build_ns");
   return h;
 }
 
@@ -159,24 +145,12 @@ std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
 Result<Table> KfkJoin(const Table& s, const Table& r,
                       const std::string& fk_column,
                       const JoinOptions& options) {
-  if (options.algorithm != JoinAlgorithm::kCsr) {
-    // Dispatch needs the FK's code range; if the column is missing the
-    // CSR body below produces the canonical error, so fall through.
-    const Result<uint32_t> fk_idx = s.schema().IndexOf(fk_column);
-    if (fk_idx.ok() &&
-        ResolveJoinAlgorithm(options, s.num_rows(), r.num_rows(),
-                             s.column(*fk_idx).domain_size(), "join.kfk",
-                             "join.radix.kfk") == JoinAlgorithm::kRadix) {
-      return RadixKfkJoin(s, r, fk_column, options);
-    }
-  }
   obs::TraceSpan span("join.kfk");
   if (span.active()) {
     span.AddAttr("entity", s.name());
     span.AddAttr("attribute_table", r.name());
     span.AddAttr("rows_built", r.num_rows());
     span.AddAttr("rows_probed", s.num_rows());
-    span.AddAttr("algorithm", "csr");
   }
   RowsBuiltCounter().Add(r.num_rows());
   RowsProbedCounter().Add(s.num_rows());
@@ -280,28 +254,16 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                        const std::string& left_column,
                        const std::string& right_column,
                        const JoinOptions& options) {
-  if (options.algorithm != JoinAlgorithm::kCsr) {
-    const Result<uint32_t> dispatch_idx = right.schema().IndexOf(right_column);
-    if (dispatch_idx.ok() &&
-        ResolveJoinAlgorithm(options, left.num_rows(), right.num_rows(),
-                             right.column(*dispatch_idx).domain_size(),
-                             "join.hash",
-                             "join.radix") == JoinAlgorithm::kRadix) {
-      return RadixHashJoin(left, right, left_column, right_column, options);
-    }
-  }
   obs::TraceSpan span("join.hash");
   if (span.active()) {
     span.AddAttr("rows_built", right.num_rows());
     span.AddAttr("rows_probed", left.num_rows());
-    span.AddAttr("algorithm", "csr");
   }
   RowsBuiltCounter().Add(right.num_rows());
   RowsProbedCounter().Add(left.num_rows());
 
   const bool collect = obs::Enabled();
   uint64_t build_ns = 0;
-  uint64_t bloom_build_ns = 0;
   uint64_t probe_ns = 0;
   const uint64_t start_ns = collect ? obs::NowNanos() : 0;
 
@@ -334,21 +296,6 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     }
   }
 
-  // Optional semi-join pre-filter: an L1-resident membership test that
-  // lets selective probes skip both random offsets reads for rows whose
-  // key the build side provably never saw.
-  BlockedBloomFilter bloom;
-  const bool use_bloom =
-      ResolveBloomFilter(options.bloom, right.num_rows(), n_buckets);
-  if (use_bloom) {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
-    bloom = BlockedBloomFilter::FromCodes(rcol.codes(), options.num_threads);
-    if (collect) {
-      bloom_build_ns = obs::NowNanos() - t;
-      BloomBuildLatency().RecordAlways(bloom_build_ns);
-    }
-  }
-
   // Probe side: translate left codes into right codes once, then emit
   // matches in two deterministic passes — count matches per left row,
   // prefix-sum into output positions, write each row's slice. Output
@@ -357,27 +304,29 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   const DomainRemap remap(lcol.domain(), rcol.domain());
   const uint32_t n_left = left.num_rows();
   std::vector<uint32_t> l_rows, r_rows;
-  std::atomic<uint64_t> skipped{0};
   const uint64_t t_probe = collect ? obs::NowNanos() : 0;
   {
     std::vector<uint64_t> out_pos(n_left + 1, 0);
     ParallelFor(n_left, options.num_threads, [&](uint32_t row) {
       const uint32_t rc = remap[lcol.code(row)];
-      if (rc == DomainRemap::kNoCode) {
-        out_pos[row + 1] = 0;
-        return;
-      }
-      if (use_bloom && !bloom.MayContain(rc)) {
-        out_pos[row + 1] = 0;
-        skipped.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      out_pos[row + 1] = offsets[rc + 1] - offsets[rc];
+      out_pos[row + 1] =
+          rc == DomainRemap::kNoCode ? 0 : offsets[rc + 1] - offsets[rc];
     });
     for (uint32_t row = 0; row < n_left; ++row) {
       out_pos[row + 1] += out_pos[row];
     }
+    // Output row indices are 32-bit (Column::Gather, Table), so a join
+    // with more matches would be silently cut short. Refuse it before
+    // the two index vectors are allocated.
     const uint64_t total = out_pos[n_left];
+    if (total > UINT32_MAX) {
+      return Status::InvalidArgument(StringFormat(
+          "join of '%s' and '%s' on '%s' = '%s' would produce %llu rows, "
+          "more than the %u-row table limit",
+          left.name().c_str(), right.name().c_str(), left_column.c_str(),
+          right_column.c_str(), static_cast<unsigned long long>(total),
+          UINT32_MAX));
+    }
     l_rows.resize(total);
     r_rows.resize(total);
     ParallelFor(n_left, options.num_threads, [&](uint32_t row) {
@@ -394,11 +343,6 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   if (collect) {
     probe_ns = obs::NowNanos() - t_probe;
     ProbeLatency().RecordAlways(probe_ns);
-  }
-  if (use_bloom) {
-    const uint64_t n_skipped = skipped.load(std::memory_order_relaxed);
-    ProbeSkippedCounter().Add(n_skipped);
-    if (span.active()) span.AddAttr("probe_skipped", n_skipped);
   }
   RowsEmittedCounter().Add(l_rows.size());
   if (span.active()) {
@@ -438,7 +382,6 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     obs_cost.build_ns = build_ns;
     obs_cost.probe_ns = probe_ns;
     obs_cost.materialize_ns = materialize_ns;
-    obs_cost.bloom_build_ns = bloom_build_ns;
     obs::CostProfileStore::Global().Record(features, obs_cost);
   }
   return result;

@@ -58,35 +58,11 @@ std::vector<uint64_t> GroupCountByCode(const std::vector<uint32_t>& key_codes,
                                        const std::vector<uint32_t>& rows,
                                        uint32_t num_threads = 0);
 
-/// Physical join algorithm. Every choice produces bit-identical tables
-/// (and identical error reports); only cache behaviour differs.
+/// Retained only so existing callers that assign an algorithm keep
+/// compiling. Both joins have exactly one physical path (the CSR probe
+/// below), and nothing in the library reads this value.
 enum class JoinAlgorithm : uint8_t {
-  /// Pick per call: measured cost-profile records for the competing
-  /// operators when the store has them (obs/cost_profile.h), else a
-  /// size heuristic — radix once the build side's code range and the
-  /// probe side both outgrow cache-resident scale. See
-  /// docs/PERFORMANCE.md "Join algorithm matrix".
-  kAuto = 0,
-  /// One monolithic CSR over the whole key-code range (the PR 5 path):
-  /// unbeatable while offsets+rows stay LLC-resident.
-  kCsr,
-  /// Radix-partitioned per-partition CSR (relational/radix_join.h):
-  /// two-pass deterministic partition scatter, then build+probe inside
-  /// cache-sized code sub-ranges.
-  kRadix,
-};
-
-/// Blocked Bloom semi-join pre-filter over the build side's key codes
-/// (common/bloom.h). Probe rows whose key the filter rejects never touch
-/// the CSR. Applies to HashJoin only — KfkJoin requires every row to
-/// match, so a pre-filter could only hide referential-integrity errors.
-enum class BloomFilterMode : uint8_t {
-  /// On exactly when the build side cannot cover its key domain
-  /// (build_rows * 2 < distinct codes), i.e. when misses are certain to
-  /// exist; off for FK-shaped joins where every probe row matches.
-  kAuto = 0,
-  kOff,
-  kOn,
+  kCsr = 0,
 };
 
 /// Knobs shared by both joins.
@@ -94,14 +70,8 @@ struct JoinOptions {
   /// Shards for probe and output materialization (0 = all hardware
   /// threads, 1 = serial). Any value yields the same table.
   uint32_t num_threads = 0;
-  /// Physical algorithm; results never depend on it.
-  JoinAlgorithm algorithm = JoinAlgorithm::kAuto;
-  /// log2 of the requested partition fanout for kRadix (0 = derive from
-  /// the build side's code range; see MakeRadixLayout). Any fanout
-  /// yields the same table.
-  uint32_t radix_bits = 0;
-  /// Bloom pre-filter switch (HashJoin only).
-  BloomFilterMode bloom = BloomFilterMode::kAuto;
+  /// Ignored; see JoinAlgorithm.
+  JoinAlgorithm algorithm = JoinAlgorithm::kCsr;
 };
 
 /// Joins entity table `s` with attribute table `r` on `s.fk_column` =
@@ -121,7 +91,9 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
 /// left columns followed by all right columns except `right_column`.
 /// Output rows appear in left-row-major order of matches (right rows
 /// ascending within a key). Used as the nested-loop-checked reference for
-/// KfkJoin and available to library users for non-KFK joins.
+/// KfkJoin and available to library users for non-KFK joins. Fails with
+/// InvalidArgument, before allocating the output, when the join would
+/// produce more than UINT32_MAX rows (a table's row-count limit).
 Result<Table> HashJoin(const Table& left, const Table& right,
                        const std::string& left_column,
                        const std::string& right_column,

@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "common/json_reader.h"
+#include "analytics/pipeline.h"
+#include "datasets/registry.h"
+#include "json_reader.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -155,6 +157,44 @@ TEST(JsonlExportTest, ClosedExporterFlushIsANoOp) {
   EXPECT_FALSE(exporter.is_open());
   EXPECT_TRUE(exporter.Flush(MakeSnapshot()).ok());
   EXPECT_EQ(exporter.lines_written(), 0u);
+}
+
+TEST(JsonlExportTest, TracedPipelineLineCarriesJoinCostRecords) {
+  // Cost records leave the process only through the JSONL flush: a
+  // traced JoinAll run must write one line whose cost_records hold the
+  // KFK joins it executed.
+  const std::string path =
+      ::testing::TempDir() + "/hamlet_pipeline_costs.jsonl";
+  auto ds = MakeDataset("Walmart", 0.02, 3);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  PipelineConfig config;
+  config.enable_join_avoidance = false;  // JoinAll: every FK is joined.
+  config.trace = true;
+  config.metrics_jsonl_path = path;
+  auto report = RunPipeline(*ds, config);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_GT(report->tables_joined, 0u);
+
+  std::ifstream in(path);
+  std::string line, extra;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_FALSE(std::getline(in, extra)) << "one traced run, one line";
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(line + "\n", &doc, &error)) << error;
+  const JsonValue* records = doc.Find("cost_records");
+  ASSERT_NE(records, nullptr);
+  uint64_t kfk_observations = 0;
+  for (const JsonValue& r : records->AsArray()) {
+    if (r.Find("op")->AsString() != "join.kfk") continue;
+    kfk_observations += r.Find("observations")->AsUInt();
+    EXPECT_EQ(r.Find("rows_in")->AsUInt(), ds->entity().num_rows());
+    EXPECT_EQ(r.Find("rows_out")->AsUInt(), ds->entity().num_rows());
+    EXPECT_GT(r.Find("build_rows")->AsUInt(), 0u);
+    EXPECT_GT(r.Find("total_ns_sum")->AsUInt(), 0u);
+    EXPECT_NE(r.Find("probe_ns_sum"), nullptr);
+  }
+  EXPECT_EQ(kfk_observations, report->tables_joined);
 }
 
 TEST(PrometheusExportTest, RendersTypedFamiliesWithMangledNames) {

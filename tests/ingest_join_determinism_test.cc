@@ -364,134 +364,6 @@ TEST_F(JoinDeterminismTest,
   }
 }
 
-TEST_F(JoinDeterminismTest, RadixHashJoinMatchesCsrAcrossThreadsAndBits) {
-  // The radix path must reproduce the monolithic CSR join bit for bit at
-  // every thread count and partition fanout — the partitioned layout is
-  // allowed to change cache behaviour, never results. The Bloom
-  // pre-filter must be invisible in the output too.
-  for (const char* name : {"Walmart", "Yelp"}) {
-    auto ds = MakeDataset(name, 0.02, 23);
-    ASSERT_TRUE(ds.ok()) << ds.status();
-    const auto fks = ds->foreign_keys();
-    ASSERT_FALSE(fks.empty());
-    const Table* r = *ds->AttributeTableFor(fks[0].fk_column);
-    auto rid_idx = r->schema().PrimaryKeyIndex();
-    ASSERT_TRUE(rid_idx.ok()) << rid_idx.status();
-    const std::string rid_name = r->schema().column(*rid_idx).name;
-
-    JoinOptions serial;
-    serial.num_threads = 1;
-    serial.algorithm = JoinAlgorithm::kCsr;
-    auto base = HashJoin(ds->entity(), *r, fks[0].fk_column, rid_name,
-                         serial);
-    ASSERT_TRUE(base.ok()) << base.status();
-
-    for (uint32_t radix_bits : {4u, 8u, 16u}) {
-      for (uint32_t num_threads : {1u, 2u, 8u}) {
-        JoinOptions par;
-        par.num_threads = num_threads;
-        par.algorithm = JoinAlgorithm::kRadix;
-        par.radix_bits = radix_bits;
-        auto t = HashJoin(ds->entity(), *r, fks[0].fk_column, rid_name,
-                          par);
-        ASSERT_TRUE(t.ok()) << t.status();
-        ExpectTablesIdentical(
-            *t, *base,
-            std::string(name) + " bits=" + std::to_string(radix_bits) +
-                " threads=" + std::to_string(num_threads));
-      }
-    }
-
-    // Bloom on: FK-shaped input, so the filter drops nothing — but it
-    // must also change nothing.
-    JoinOptions bloom_on;
-    bloom_on.num_threads = 8;
-    bloom_on.algorithm = JoinAlgorithm::kRadix;
-    bloom_on.bloom = BloomFilterMode::kOn;
-    auto t = HashJoin(ds->entity(), *r, fks[0].fk_column, rid_name,
-                      bloom_on);
-    ASSERT_TRUE(t.ok()) << t.status();
-    ExpectTablesIdentical(*t, *base, std::string(name) + " bloom=on");
-  }
-}
-
-TEST_F(JoinDeterminismTest, RadixKfkJoinMatchesCsrAcrossThreadsAndBits) {
-  for (const char* name : {"Walmart", "MovieLens1M"}) {
-    auto ds = MakeDataset(name, 0.02, 29);
-    ASSERT_TRUE(ds.ok()) << ds.status();
-    const auto fks = ds->foreign_keys();
-    ASSERT_FALSE(fks.empty());
-    const Table* r = *ds->AttributeTableFor(fks[0].fk_column);
-
-    JoinOptions serial;
-    serial.num_threads = 1;
-    serial.algorithm = JoinAlgorithm::kCsr;
-    auto base = KfkJoin(ds->entity(), *r, fks[0].fk_column, serial);
-    ASSERT_TRUE(base.ok()) << base.status();
-
-    for (uint32_t radix_bits : {4u, 8u, 16u}) {
-      for (uint32_t num_threads : {1u, 2u, 8u}) {
-        JoinOptions par;
-        par.num_threads = num_threads;
-        par.algorithm = JoinAlgorithm::kRadix;
-        par.radix_bits = radix_bits;
-        auto t = KfkJoin(ds->entity(), *r, fks[0].fk_column, par);
-        ASSERT_TRUE(t.ok()) << t.status();
-        ExpectTablesIdentical(
-            *t, *base,
-            std::string(name) + " bits=" + std::to_string(radix_bits) +
-                " threads=" + std::to_string(num_threads));
-      }
-    }
-  }
-}
-
-TEST_F(JoinDeterminismTest,
-       RadixReferentialIntegrityErrorMatchesCsrAcrossThreadsAndBits) {
-  // Same dangling-FK construction as the CSR test above: the radix path
-  // must report the lowest offending S row's label, byte-identically,
-  // at every thread count and fanout.
-  Schema r_schema(
-      {ColumnSpec::PrimaryKey("RID"), ColumnSpec::Feature("XR")});
-  TableBuilder rb("R", r_schema);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(rb.AppendRowLabels({"r" + std::to_string(i),
-                                    "v" + std::to_string(i)})
-                    .ok());
-  }
-  Table r = rb.Build();
-
-  Schema s_schema(
-      {ColumnSpec::Target("Y"), ColumnSpec::ForeignKey("FK", "R")});
-  TableBuilder sb("S", s_schema);
-  for (int i = 0; i < 100; ++i) {
-    std::string fk = i == 40 ? "r5" : (i == 70 ? "r6" : "r" +
-                                       std::to_string(i % 5));
-    ASSERT_TRUE(sb.AppendRowLabels({"0", fk}).ok());
-  }
-  Table s = sb.Build();
-
-  JoinOptions csr;
-  csr.num_threads = 1;
-  csr.algorithm = JoinAlgorithm::kCsr;
-  auto base = KfkJoin(s, r, "FK", csr);
-  ASSERT_FALSE(base.ok());
-
-  for (uint32_t radix_bits : {0u, 2u, 8u}) {
-    for (uint32_t num_threads : {1u, 2u, 8u}) {
-      JoinOptions options;
-      options.num_threads = num_threads;
-      options.algorithm = JoinAlgorithm::kRadix;
-      options.radix_bits = radix_bits;
-      auto t = KfkJoin(s, r, "FK", options);
-      ASSERT_FALSE(t.ok());
-      EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_EQ(t.status().message(), base.status().message())
-          << "bits=" << radix_bits << " threads=" << num_threads;
-    }
-  }
-}
-
 TEST_F(JoinDeterminismTest, DuplicateRidErrorNamesTheLabel) {
   Schema r_schema(
       {ColumnSpec::PrimaryKey("RID"), ColumnSpec::Feature("XR")});

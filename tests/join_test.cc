@@ -167,6 +167,28 @@ TEST(HashJoinTest, ManyToManyProducesCrossMatches) {
   EXPECT_EQ(t->num_rows(), 4u);  // 2 x 2 cross matches.
 }
 
+TEST(HashJoinTest, MatchCountBeyondUint32IsRejectedBeforeAllocating) {
+  // 65,537 x 65,536 rows on one key is 2^32 + 2^16 matches: one past what
+  // 32-bit row indices can address. The join must refuse with a typed
+  // error instead of allocating ~32 GB of index vectors or truncating.
+  auto keys = Domain::Dense(1, "k");
+  auto values = Domain::Dense(1, "v");
+  constexpr uint32_t kLeftRows = 65537;
+  constexpr uint32_t kRightRows = 65536;
+  Table left("L", Schema({ColumnSpec::Feature("K"), ColumnSpec::Feature("L")}),
+             {Column(std::vector<uint32_t>(kLeftRows, 0), keys),
+              Column(std::vector<uint32_t>(kLeftRows, 0), values)});
+  Table right("R",
+              Schema({ColumnSpec::Feature("K2"), ColumnSpec::Feature("R")}),
+              {Column(std::vector<uint32_t>(kRightRows, 0), keys),
+               Column(std::vector<uint32_t>(kRightRows, 0), values)});
+  auto t = HashJoin(left, right, "K", "K2");
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(t.status().message().find("4295032832 rows"), std::string::npos)
+      << t.status();
+}
+
 // Property test: KfkJoin agrees with HashJoin (the nested-loop-equivalent
 // reference) on randomized star schemas.
 class JoinEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};

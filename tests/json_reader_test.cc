@@ -1,4 +1,4 @@
-#include "common/json_reader.h"
+#include "json_reader.h"
 
 #include <gtest/gtest.h>
 
@@ -44,8 +44,8 @@ TEST(JsonReaderTest, ParsesEveryValueKind) {
 }
 
 TEST(JsonReaderTest, IntegersStayInt64Exact) {
-  // The cost profile's bit-identical round-trip depends on large
-  // nanosecond sums not passing through a double.
+  // Exported cost records carry large nanosecond sums; checking them
+  // exactly depends on not passing through a double.
   const JsonValue doc = MustParse(
       R"({"max":9223372036854775807,"min":-9223372036854775808,)"
       R"("big_ns":1311768467463790320})");
@@ -103,7 +103,7 @@ TEST(JsonReaderTest, RejectsMalformedDocumentsWithPositionedErrors) {
   EXPECT_FALSE(ParseError(R"({"lone":"\ud83d"})").empty());
   EXPECT_FALSE(ParseError("tru").empty());
   // Trailing garbage after a complete document is an error, and the
-  // message carries a position so profile-file corruption is locatable.
+  // message carries a position so a malformed document is locatable.
   const std::string error = ParseError(R"({"a":1} extra)");
   EXPECT_NE(error.find("8"), std::string::npos) << error;
 }

@@ -43,6 +43,10 @@ struct Fig6Row {
   std::vector<std::pair<uint32_t, uint32_t>> tables;  // (n_Ri, d_Ri).
 };
 
+// Without a printer gtest dumps the row's raw bytes, including the `name`
+// pointer, into the listed test name; under ASLR that changes on every run.
+void PrintTo(const Fig6Row& row, std::ostream* os) { *os << row.name; }
+
 class Figure6Test : public ::testing::TestWithParam<Fig6Row> {};
 
 TEST_P(Figure6Test, SpecMatchesPaperStatistics) {
@@ -87,6 +91,8 @@ struct DecisionRow {
   const char* name;
   std::vector<const char*> avoided;
 };
+
+void PrintTo(const DecisionRow& row, std::ostream* os) { *os << row.name; }
 
 class PaperDecisionTest : public ::testing::TestWithParam<DecisionRow> {};
 
