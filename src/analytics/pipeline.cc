@@ -38,7 +38,8 @@ const char* ClassifierKindToString(ClassifierKind kind) {
   return "unknown";
 }
 
-ClassifierFactory MakeClassifierFactory(ClassifierKind kind) {
+ClassifierFactory MakeClassifierFactory(ClassifierKind kind,
+                                        uint32_t num_threads) {
   switch (kind) {
     case ClassifierKind::kNaiveBayes:
       return MakeNaiveBayesFactory();
@@ -56,10 +57,16 @@ ClassifierFactory MakeClassifierFactory(ClassifierKind kind) {
     }
     case ClassifierKind::kTan:
       return MakeTanFactory();
-    case ClassifierKind::kDecisionTree:
-      return MakeDecisionTreeFactory();
-    case ClassifierKind::kGradientBoostedTrees:
-      return MakeGbtFactory();
+    case ClassifierKind::kDecisionTree: {
+      DecisionTreeOptions options;
+      options.num_threads = num_threads;
+      return MakeDecisionTreeFactory(options);
+    }
+    case ClassifierKind::kGradientBoostedTrees: {
+      GbtOptions options;
+      options.num_threads = num_threads;
+      return MakeGbtFactory(options);
+    }
   }
   return MakeNaiveBayesFactory();
 }
@@ -206,7 +213,8 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
           !config.force_scan_eval));
     std::unique_ptr<FeatureSelector> selector = MakeSelector(
         config.method, config.num_threads, config.force_scan_eval);
-    ClassifierFactory factory = MakeClassifierFactory(config.classifier);
+    ClassifierFactory factory =
+        MakeClassifierFactory(config.classifier, config.num_threads);
 
     if (use_factorized) {
       report.factorized = true;

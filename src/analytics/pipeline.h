@@ -44,7 +44,10 @@ enum class ClassifierKind {
 const char* ClassifierKindToString(ClassifierKind kind);
 
 /// Builds the factory for a classifier kind (paper-default settings).
-ClassifierFactory MakeClassifierFactory(ClassifierKind kind);
+/// `num_threads` is the ParallelFor width of the tree models' own loops
+/// (0 = hardware); the other kinds have none.
+ClassifierFactory MakeClassifierFactory(ClassifierKind kind,
+                                        uint32_t num_threads = 0);
 
 /// Declarative pipeline configuration.
 struct PipelineConfig {

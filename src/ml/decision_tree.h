@@ -10,25 +10,36 @@
 /// Every split is scored from per-(feature, value, class) contingency
 /// counts — the same integer histograms SuffStats holds — so a node's
 /// candidate splits cost one table scan of its histogram, not a data
-/// scan. Node histograms are built with one parallel pass over the node's
-/// rows (one feature per work item, the BuildSuffStats sharding
-/// contract); a node's sibling gets its histogram by subtracting the
-/// built child from the parent (the classic "subtraction trick"), which
-/// is exact because the counts are integers. The root reuses cached
-/// SuffStats when present (materialized or factorized — the counts are
+/// scan. One trainer serves both views: it reads each trained slot's code
+/// in place through a CodeSource (ml/factorized.h) — the entity column,
+/// or R's column behind the FK -> R hop — and each label by row id, so no
+/// per-model code matrix or label copy exists. It visits the root's rows
+/// in ascending row id, so every partition and histogram pass is a
+/// forward scan. A split's child sizes and class counts come from the
+/// parent histogram; the smaller child's histograms take one parallel
+/// pass over its rows (slot groups per work item, the BuildSuffStats
+/// sharding contract), and the bigger child's are the parent's minus
+/// those (the "subtraction trick"; exact, since counts are integers). A
+/// child that cannot split — at max_depth, under min_rows_split, or pure
+/// — gets no partition and no histograms, so under the depth-2 refit
+/// budget no depth-1 split scans a row. The root reuses cached SuffStats
+/// when present (materialized or factorized — the counts are
 /// bit-identical, see ml/factorized.h), so feature-selection searches
 /// that retrain hundreds of trees on one train split pay for the root
-/// histograms once.
+/// histograms once. One walker serves both views' prediction the same
+/// way, computing each node's class once per batch.
 ///
 /// Determinism contract (mirrors the rest of the library): histograms are
-/// integer counts built one-feature-per-work-item, the best split is
-/// chosen by a serial reduction in ascending feature-slot order with
-/// strictly-greater-gain wins (lowest slot, then lowest code, wins exact
-/// ties), rows partition in ascending order, and leaf scores use one
-/// pinned floating-point expression. Trees are therefore bit-identical at
-/// any thread count AND between the materialized and factorized training
-/// paths (tests/factorized_tree_equivalence_test.cc, ctest label
-/// `factorized`; docs/TREES.md has the full math).
+/// integer counts, the best split is chosen by a serial reduction in
+/// ascending feature-slot order with strictly-greater-gain wins (lowest
+/// slot, then lowest code, wins exact ties), a tree depends only on the
+/// multiset of its rows (order and thread count change no count), and
+/// leaf scores use one pinned floating-point expression. Trees are
+/// therefore bit-identical at any thread count AND between the
+/// materialized and factorized views
+/// (tests/factorized_tree_equivalence_test.cc, ctest label `factorized`,
+/// which also checks both against a textbook reference CART;
+/// docs/TREES.md has the full math).
 
 #include <cstdint>
 #include <memory>
@@ -39,6 +50,7 @@
 
 namespace hamlet {
 
+struct CodeSource;
 struct SuffStats;
 
 /// Training knobs. `alpha` smooths the leaf class probabilities exactly
@@ -92,11 +104,12 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
   Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
                const std::vector<uint32_t>& features) override;
 
-  /// Trains over the normalized (S, R) view: candidate columns are read
-  /// through the FK -> R hops (FactorizedDataset::GatherCodes) and the
-  /// root histograms reuse cached factorized SuffStats — whose counts
-  /// come from the group-by-FK-code aggregation, never a materialized
-  /// join. Bit-identical to Train on the joined twin.
+  /// Trains over the normalized (S, R) view: each foreign slot's code is
+  /// read in place through its FK -> R hop (FactorizedDataset::
+  /// code_source), so no column is gathered, and the root histograms
+  /// reuse cached factorized SuffStats — whose counts come from the
+  /// group-by-FK-code aggregation, never a materialized join.
+  /// Bit-identical to Train on the joined twin.
   Status TrainFactorized(const FactorizedDataset& data,
                          const std::vector<uint32_t>& rows,
                          const std::vector<uint32_t>& features) override;
@@ -142,11 +155,21 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
   static Result<DecisionTree> FromParams(DecisionTreeParams params);
 
  private:
-  Status TrainImpl(uint32_t num_classes,
-                   const std::vector<uint32_t>& labels,
-                   const std::vector<std::vector<uint32_t>>& codes,
-                   const SuffStats* root_stats);
-  int32_t WalkToLeaf(const EncodedDataset& data, uint32_t row) const;
+  void SetTrainedSlots(const std::vector<FeatureMeta>& metas,
+                       const std::vector<uint32_t>& features);
+  /// The one trainer both views share: reads trained slot jj's codes in
+  /// place through sources[jj] and labels by row id.
+  Status TrainImpl(uint32_t num_classes, const std::vector<uint32_t>& labels,
+                   uint32_t num_rows, const std::vector<uint32_t>& rows,
+                   const std::vector<CodeSource>& sources,
+                   const SuffStats* stats);
+  /// The one walker: root to `row`'s leaf, slot codes via source_of(slot).
+  template <typename SourceOf>
+  int32_t LeafOf(const SourceOf& source_of, uint32_t row) const;
+  /// Batch prediction both views share.
+  void PredictRows(const std::vector<CodeSource>& sources,
+                   const std::vector<uint32_t>& rows,
+                   std::vector<uint32_t>* out) const;
 
   DecisionTreeOptions options_;
   uint32_t num_classes_ = 0;

@@ -191,24 +191,29 @@ const std::vector<uint32_t>& FactorizedDataset::fk_codes(size_t k) const {
   return rel.stored_fk_codes;
 }
 
+CodeSource FactorizedDataset::code_source(uint32_t j) const {
+  HAMLET_CHECK(j < num_features(), "feature index %u out of range %u", j,
+               num_features());
+  const FeatureRef& ref = refs_[j];
+  if (ref.relation < 0) return CodeSource::Direct(entity_.feature(j));
+  const FactorizedRelation& rel = relations_[ref.relation];
+  return CodeSource{rel.columns[ref.column].data(),
+                    fk_codes(ref.relation).data(), rel.fk_to_rrow.data()};
+}
+
 void FactorizedDataset::GatherCodes(uint32_t j,
                                     const std::vector<uint32_t>& rows,
                                     std::vector<uint32_t>* out) const {
-  HAMLET_CHECK(j < num_features(), "feature index %u out of range %u", j,
-               num_features());
+  const CodeSource source = code_source(j);
   out->resize(rows.size());
-  const FeatureRef& ref = refs_[j];
-  if (ref.relation < 0) {
-    const uint32_t* col = entity_.feature(j).data();
-    for (size_t i = 0; i < rows.size(); ++i) (*out)[i] = col[rows[i]];
+  if (source.direct()) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      (*out)[i] = source.codes[rows[i]];
+    }
     return;
   }
-  const FactorizedRelation& rel = relations_[ref.relation];
-  const uint32_t* fkc = fk_codes(ref.relation).data();
-  const uint32_t* col = rel.columns[ref.column].data();
-  const uint32_t* hop = rel.fk_to_rrow.data();
   for (size_t i = 0; i < rows.size(); ++i) {
-    (*out)[i] = col[hop[fkc[rows[i]]]];
+    (*out)[i] = source.codes[source.hop[source.fk[rows[i]]]];
   }
 }
 

@@ -63,6 +63,28 @@ struct FactorizedRelation {
   uint32_t first_feature = 0;
 };
 
+/// Where one feature's codes live, as raw column pointers, so a reader can
+/// take the code of any S row in place: `codes[row]` for a column stored
+/// per S row, `codes[hop[fk[row]]]` for a foreign feature read through its
+/// FK -> R row index. Valid while the dataset it came from is alive.
+struct CodeSource {
+  const uint32_t* codes = nullptr;
+  const uint32_t* fk = nullptr;   ///< S row -> FK code; null when direct.
+  const uint32_t* hop = nullptr;  ///< FK code -> R row; null when direct.
+
+  /// A column stored per S row (an entity or a materialized feature).
+  static CodeSource Direct(const std::vector<uint32_t>& column) {
+    return CodeSource{column.data(), nullptr, nullptr};
+  }
+
+  bool direct() const { return fk == nullptr; }
+  /// The array this source indexes by S row id.
+  const uint32_t* row_indexed() const { return direct() ? codes : fk; }
+  uint32_t operator()(uint32_t row) const {
+    return direct() ? codes[row] : codes[hop[fk[row]]];
+  }
+};
+
 /// The factorized view of a NormalizedDataset: S's usable columns encoded
 /// as an EncodedDataset plus, per factorized FK, the (small) R-side
 /// feature columns and the FK -> R row index.
@@ -117,6 +139,10 @@ class FactorizedDataset {
   /// output equals the materialized join's column gathered at `rows`.
   void GatherCodes(uint32_t j, const std::vector<uint32_t>& rows,
                    std::vector<uint32_t>* out) const;
+
+  /// Feature j's codes in place: the entity column, or R's column behind
+  /// the FK -> R hop. `source(row)` equals the materialized join's code.
+  CodeSource code_source(uint32_t j) const;
 
   /// The entity-side encoded dataset (S's usable columns).
   const EncodedDataset& entity() const { return entity_; }

@@ -32,15 +32,21 @@ obs::Histogram& StatsBuildHistogram() {
 
 // FNV-1a over the row indices; the cache verifies candidates with an
 // exact vector comparison, so the hash only needs to be a good filter.
+// Every lookup hashes its rows, and one lane's multiply chain would
+// serialize the pass, so four interleaved lanes are folded at the end.
 uint64_t HashRows(const std::vector<uint32_t>& rows) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (uint32_t r : rows) {
-    h ^= r;
-    h *= 0x100000001B3ULL;
+  constexpr uint64_t kBasis = 0xCBF29CE484222325ULL;
+  constexpr uint64_t kPrime = 0x100000001B3ULL;
+  uint64_t lane[4] = {kBasis, kBasis + 1, kBasis + 2, kBasis + 3};
+  const size_t n = rows.size();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t k = 0; k < 4; ++k) lane[k] = (lane[k] ^ rows[i + k]) * kPrime;
   }
-  h ^= rows.size();
-  h *= 0x100000001B3ULL;
-  return h;
+  for (; i < n; ++i) lane[0] = (lane[0] ^ rows[i]) * kPrime;
+  uint64_t h = kBasis;
+  for (uint64_t value : lane) h = (h ^ value) * kPrime;
+  return (h ^ n) * kPrime;
 }
 
 // Depth of active ScopedSuffStatsBypass guards (process-wide).
@@ -110,6 +116,29 @@ std::shared_ptr<const SuffStats> SuffStatsCache::FindLocked(
   return nullptr;
 }
 
+std::shared_ptr<const SuffStats> SuffStatsCache::Find(
+    const SuffStatsKey& key, uint64_t rows_hash,
+    const std::vector<uint32_t>& rows) const {
+  // Holding the shared_ptr copies keeps the statistics alive even if a
+  // concurrent insert evicts them before the compare below. A hash
+  // collision bumps an entry the compare then rejects; that only
+  // reorders eviction.
+  std::vector<std::shared_ptr<const SuffStats>> candidates;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Entry& entry : entries_) {
+      if (entry.key == key && entry.rows_hash == rows_hash) {
+        entry.last_used = ++tick_;
+        candidates.push_back(entry.stats);
+      }
+    }
+  }
+  for (std::shared_ptr<const SuffStats>& stats : candidates) {
+    if (stats->rows == rows) return std::move(stats);
+  }
+  return nullptr;
+}
+
 std::shared_ptr<const SuffStats> SuffStatsCache::Peek(
     const EncodedDataset& data, const std::vector<uint32_t>& rows) const {
   return PeekKeyed(SuffStatsKey{data.cache_id(), 0, 0}, rows);
@@ -118,9 +147,7 @@ std::shared_ptr<const SuffStats> SuffStatsCache::Peek(
 std::shared_ptr<const SuffStats> SuffStatsCache::PeekKeyed(
     const SuffStatsKey& key, const std::vector<uint32_t>& rows) const {
   if (Bypassed()) return nullptr;
-  const uint64_t hash = HashRows(rows);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<const SuffStats> found = FindLocked(key, hash, rows);
+  std::shared_ptr<const SuffStats> found = Find(key, HashRows(rows), rows);
   if (found != nullptr) CacheHitsCounter().Add(1);
   return found;
 }
@@ -139,13 +166,9 @@ std::shared_ptr<const SuffStats> SuffStatsCache::GetOrBuildKeyed(
     const std::function<std::shared_ptr<const SuffStats>()>& build) {
   if (Bypassed()) return nullptr;
   const uint64_t hash = HashRows(rows);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<const SuffStats> found = FindLocked(key, hash, rows);
-    if (found != nullptr) {
-      CacheHitsCounter().Add(1);
-      return found;
-    }
+  if (std::shared_ptr<const SuffStats> found = Find(key, hash, rows)) {
+    CacheHitsCounter().Add(1);
+    return found;
   }
 
   // Build outside the lock — a concurrent builder of a different key must

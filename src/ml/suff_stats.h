@@ -137,6 +137,13 @@ class SuffStatsCache {
     std::shared_ptr<const SuffStats> stats;
   };
 
+  /// Lookup for the hit paths: matches key and row hash under the lock,
+  /// then compares the O(|rows|) row vector after releasing it, so
+  /// concurrent lookups do not serialize on the compare.
+  std::shared_ptr<const SuffStats> Find(
+      const SuffStatsKey& key, uint64_t rows_hash,
+      const std::vector<uint32_t>& rows) const;
+  /// Exact lookup with mu_ held — the insert path's race re-check.
   std::shared_ptr<const SuffStats> FindLocked(
       const SuffStatsKey& key, uint64_t rows_hash,
       const std::vector<uint32_t>& rows) const;

@@ -5,12 +5,15 @@
 /// produce *bit*-identical models — every split, every stored double —
 /// to training on the materialized join, at any thread count, because
 /// split histograms are integer counts (tree) or pinned-order float
-/// accumulations (GBT) and the factorized path differs only in how
-/// candidate columns are gathered. Selections, runner reports, and the
+/// accumulations (GBT) and the factorized path differs only in where
+/// candidate codes are read from. Selections, runner reports, and the
 /// pipeline's avoid-materialization switch must then agree end to end.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -183,6 +186,212 @@ TEST(FactorizedGbtTest, TrainBitIdenticalAcrossViewsAndThreads) {
       ASSERT_TRUE(
           fac_gbt.PredictFactorized(t.fac, t.split.test, &fac_pred).ok());
       EXPECT_EQ(fac_pred, ref_pred);
+    }
+  }
+}
+
+// --- Reference oracle: a textbook CART the shared trainer must equal. ----
+//
+// Both views run one trainer, so comparing them cannot catch a bug in it.
+// This reference grows the same tree the slow way: columns gathered at
+// the given row positions (in the given order), every node's histograms
+// counted from its own rows, no subtraction trick, no skipped children.
+// Split rule, tie-breaks, leaf tests and the pre-order layout follow the
+// contract in ml/decision_tree.h.
+
+double ReferenceGini(const std::vector<uint64_t>& counts, uint64_t total) {
+  if (total == 0) return 0.0;
+  const double n = static_cast<double>(total);
+  double sum_sq = 0.0;
+  for (uint64_t c : counts) {
+    const double p = static_cast<double>(c) / n;
+    sum_sq += p * p;
+  }
+  return 1.0 - sum_sq;
+}
+
+DecisionTreeParams ReferenceCart(const EncodedDataset& data,
+                                 const std::vector<uint32_t>& rows,
+                                 const std::vector<uint32_t>& features,
+                                 const DecisionTreeOptions& options) {
+  const uint32_t num_classes = data.num_classes();
+  uint32_t max_depth = options.max_depth;
+  if (ScopedTreeRefitBudget::Active()) {
+    max_depth = std::min(max_depth, options.candidate_max_depth);
+  }
+  DecisionTreeParams p;
+  p.alpha = options.alpha;
+  p.num_classes = num_classes;
+  p.features = features;
+  for (uint32_t j : features) p.cardinalities.push_back(data.meta(j).cardinality);
+
+  // Position-indexed copies: codes[slot][i] and labels[i] for rows[i].
+  std::vector<std::vector<uint32_t>> codes(features.size());
+  std::vector<uint32_t> labels;
+  for (uint32_t r : rows) labels.push_back(data.labels()[r]);
+  for (size_t jj = 0; jj < features.size(); ++jj) {
+    for (uint32_t r : rows) codes[jj].push_back(data.feature(features[jj])[r]);
+  }
+
+  std::function<int32_t(const std::vector<uint32_t>&, uint32_t)> grow =
+      [&](const std::vector<uint32_t>& items, uint32_t depth) -> int32_t {
+    const int32_t idx = static_cast<int32_t>(p.split_slot.size());
+    p.split_slot.push_back(-1);
+    p.split_code.push_back(0);
+    p.left.push_back(-1);
+    p.right.push_back(-1);
+    std::vector<uint64_t> cls(num_classes, 0);
+    for (uint32_t i : items) ++cls[labels[i]];
+    const uint64_t n = items.size();
+    const double denom =
+        static_cast<double>(n) + options.alpha * static_cast<double>(num_classes);
+    for (uint32_t y = 0; y < num_classes; ++y) {
+      p.scores.push_back(
+          std::log((static_cast<double>(cls[y]) + options.alpha) / denom));
+    }
+    if (depth >= max_depth || n < options.min_rows_split) return idx;
+    for (uint64_t c : cls) {
+      if (c == n) return idx;
+    }
+
+    const double parent_gini = ReferenceGini(cls, n);
+    const double n_d = static_cast<double>(n);
+    int32_t pick = -1;
+    uint32_t pick_code = 0;
+    double pick_gain = options.min_gain;
+    for (size_t jj = 0; jj < features.size(); ++jj) {
+      std::vector<std::vector<uint64_t>> hist(
+          p.cardinalities[jj], std::vector<uint64_t>(num_classes, 0));
+      for (uint32_t i : items) ++hist[codes[jj][i]][labels[i]];
+      bool valid = false;
+      double slot_gain = 0.0;
+      uint32_t slot_code = 0;
+      for (uint32_t v = 0; v < p.cardinalities[jj]; ++v) {
+        const std::vector<uint64_t>& l = hist[v];
+        uint64_t nl = 0;
+        for (uint64_t c : l) nl += c;
+        if (nl == 0 || nl == n) continue;
+        std::vector<uint64_t> r(num_classes);
+        for (uint32_t y = 0; y < num_classes; ++y) r[y] = cls[y] - l[y];
+        const uint64_t nr = n - nl;
+        const double weighted =
+            (static_cast<double>(nl) / n_d) * ReferenceGini(l, nl) +
+            (static_cast<double>(nr) / n_d) * ReferenceGini(r, nr);
+        const double gain = parent_gini - weighted;
+        if (!valid || gain > slot_gain) {
+          valid = true;
+          slot_gain = gain;
+          slot_code = v;
+        }
+      }
+      if (valid && slot_gain > pick_gain) {
+        pick = static_cast<int32_t>(jj);
+        pick_code = slot_code;
+        pick_gain = slot_gain;
+      }
+    }
+    if (pick < 0) return idx;
+
+    std::vector<uint32_t> left_items, right_items;
+    for (uint32_t i : items) {
+      (codes[pick][i] == pick_code ? left_items : right_items).push_back(i);
+    }
+    const int32_t l = grow(left_items, depth + 1);
+    const int32_t r = grow(right_items, depth + 1);
+    p.split_slot[idx] = pick;
+    p.split_code[idx] = pick_code;
+    p.left[idx] = l;
+    p.right[idx] = r;
+    return idx;
+  };
+
+  std::vector<uint32_t> all(rows.size());
+  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  grow(all, 0);
+  return p;
+}
+
+/// Argmax leaf class of `params` for each row — the reference walker.
+std::vector<uint32_t> ReferencePredict(const DecisionTreeParams& params,
+                                       const EncodedDataset& data,
+                                       const std::vector<uint32_t>& rows) {
+  std::vector<uint32_t> out;
+  for (uint32_t row : rows) {
+    int32_t node = 0;
+    while (params.split_slot[node] >= 0) {
+      const uint32_t j = params.features[params.split_slot[node]];
+      node = data.feature(j)[row] == params.split_code[node]
+                 ? params.left[node]
+                 : params.right[node];
+    }
+    const double* s = &params.scores[static_cast<size_t>(node) *
+                                     params.num_classes];
+    uint32_t best = 0;
+    for (uint32_t c = 1; c < params.num_classes; ++c) {
+      if (s[c] > s[best]) best = c;
+    }
+    out.push_back(best);
+  }
+  return out;
+}
+
+TEST(FactorizedTreeTest, SharedTrainerMatchesReferenceCart) {
+  for (const DatasetCase& c : kDatasetCases) {
+    TwinCase t = MakeTwinCase(c, 59);
+    const std::vector<uint32_t> features = t.mat->AllFeatureIndices();
+
+    // The trainer sorts its root rows; the row order it is handed, and
+    // repeats within it, must change nothing the reference would not.
+    std::vector<uint32_t> shuffled = t.split.train;
+    Rng rng(61);
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1],
+                shuffled[rng.Uniform(static_cast<uint32_t>(i))]);
+    }
+    std::vector<uint32_t> reversed(t.split.train.rbegin(),
+                                   t.split.train.rend());
+    std::vector<uint32_t> repeated = t.split.train;
+    for (size_t i = 0; i < t.split.train.size(); i += 3) {
+      repeated.push_back(t.split.train[i]);
+    }
+    const std::pair<const char*, const std::vector<uint32_t>*> row_sets[] = {
+        {"train", &t.split.train},
+        {"shuffled", &shuffled},
+        {"reversed", &reversed},
+        {"repeated", &repeated}};
+
+    for (uint32_t max_depth : {0u, 2u, 6u}) {
+      for (bool budget : {false, true}) {
+        for (const auto& [rows_name, rows] : row_sets) {
+          SCOPED_TRACE(t.name + " depth " + std::to_string(max_depth) +
+                       (budget ? " budget " : " full ") + rows_name);
+          ScopedTreeRefitBudget scope(budget);
+          DecisionTreeOptions options;
+          options.max_depth = max_depth;
+          options.num_threads = 2;
+          const DecisionTreeParams ref =
+              ReferenceCart(*t.mat, *rows, features, options);
+          const std::vector<uint32_t> ref_pred =
+              ReferencePredict(ref, *t.mat, t.split.test);
+
+          SuffStatsCache::Global().Clear();
+          DecisionTree mat_tree(options);
+          ASSERT_TRUE(mat_tree.Train(*t.mat, *rows, features).ok());
+          ExpectTreeParamsBitIdentical(mat_tree.ExportParams(), ref,
+                                       "materialized");
+          EXPECT_EQ(mat_tree.Predict(*t.mat, t.split.test), ref_pred);
+
+          SuffStatsCache::Global().Clear();
+          DecisionTree fac_tree(options);
+          ASSERT_TRUE(fac_tree.TrainFactorized(t.fac, *rows, features).ok());
+          ExpectTreeParamsBitIdentical(fac_tree.ExportParams(), ref,
+                                       "factorized");
+          std::vector<uint32_t> fac_pred;
+          ASSERT_TRUE(
+              fac_tree.PredictFactorized(t.fac, t.split.test, &fac_pred).ok());
+          EXPECT_EQ(fac_pred, ref_pred);
+        }
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "datasets/registry.h"
 
 namespace hamlet {
@@ -106,6 +107,26 @@ TEST(PipelineTest, WorksWithEveryClassifierKind) {
     auto report = RunPipeline(ds, config);
     ASSERT_TRUE(report.ok()) << ClassifierKindToString(kind);
     EXPECT_GT(report->selection.selection.models_trained, 0u);
+  }
+}
+
+TEST(PipelineTest, OneThreadTreeRunDispatchesNoPoolRegions) {
+  // PipelineConfig::num_threads reaches the tree's own loops, so a
+  // one-thread tree pipeline is serial end to end, in both views.
+  auto ds = *MakeDataset("Walmart", 0.01, 3);
+  for (bool avoid : {true, false}) {
+    PipelineConfig config = BaseConfig();
+    config.method = FsMethod::kForwardSelection;
+    config.classifier = ClassifierKind::kDecisionTree;
+    config.enable_join_avoidance = false;
+    config.avoid_materialization = avoid;
+    config.num_threads = 1;
+    const uint64_t before = ThreadPool::Global().GetStats().regions;
+    auto report = RunPipeline(ds, config);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_GT(report->selection.selection.models_trained, 1u);
+    EXPECT_EQ(ThreadPool::Global().GetStats().regions, before)
+        << "avoid_materialization=" << avoid;
   }
 }
 
