@@ -13,7 +13,6 @@
 #include "ml/factorized.h"
 #include "ml/gbt.h"
 #include "ml/naive_bayes.h"
-#include "ml/suff_stats.h"
 #include "ml/tan.h"
 #include "obs/cost_profile.h"
 #include "obs/exporter.h"
@@ -150,10 +149,6 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
   // HAMLET_TRACE environment variable) asks for it, and the previous
   // enabled state is restored on every exit path.
   obs::ScopedCollection collection(config.trace || obs::EnvRequested());
-
-  // While active, every sufficient-statistics lookup misses, so model
-  // training and candidate scoring take the original scan paths.
-  ScopedSuffStatsBypass scan_only(config.force_scan_eval);
 
   PipelineReport report;
   report.avoidance_applied = config.enable_join_avoidance;

@@ -71,12 +71,12 @@ struct PipelineConfig {
   /// The HAMLET_TRACE environment variable turns tracing on as well; when
   /// both are off, instrumentation costs a single predictable branch.
   bool trace = false;
-  /// Escape hatch: disable the sufficient-statistics cache and incremental
-  /// candidate scoring for this run, forcing the original scan-based
-  /// evaluation (full retrain per candidate model). Selections and errors
-  /// are unchanged — the fast path is equivalence-tested — so this exists
-  /// for debugging and for measuring the fast path's speedup (see
-  /// docs/PERFORMANCE.md).
+  /// Escape hatch: the search scores every candidate with a full model
+  /// retrain instead of the sufficient-statistics delta scorer. It
+  /// reaches the search through MakeSelector only; nothing process-wide
+  /// changes. Selections and errors are unchanged — the delta scorer is
+  /// equivalence-tested — so this exists for debugging and for measuring
+  /// the delta scorer's speedup (see docs/PERFORMANCE.md).
   bool force_scan_eval = false;
   /// Factorized mode: run feature selection over the normalized (S, R)
   /// view (ml/factorized.h) instead of materializing the joins the plan

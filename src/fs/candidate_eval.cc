@@ -1,9 +1,20 @@
 #include "fs/candidate_eval.h"
 
+#include <functional>
+
+#include "common/parallel_for.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "ml/eval.h"
 #include "ml/factorized.h"
 #include "ml/naive_bayes.h"
+#include "ml/suff_stats.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hamlet {
+
+namespace {
 
 obs::Counter& FsModelsTrainedCounter() {
   static obs::Counter& counter =
@@ -23,40 +34,387 @@ obs::Counter& FsDeltaEvalsCounter() {
   return counter;
 }
 
-std::unique_ptr<NbSubsetEvaluator> TryMakeNbEvaluator(
-    const EncodedDataset& data, const HoldoutSplit& split, ErrorMetric metric,
-    const ClassifierFactory& factory, const std::vector<uint32_t>& candidates,
-    uint32_t num_threads) {
-  if (SuffStatsCache::Bypassed()) return nullptr;
-  if (split.train.empty()) return nullptr;
-  // The factory is an opaque std::function; probe one instance to learn
-  // the concrete classifier (and its smoothing constant).
-  std::unique_ptr<Classifier> probe = factory();
-  auto* nb = dynamic_cast<NaiveBayes*>(probe.get());
-  if (nb == nullptr) return nullptr;
-  std::shared_ptr<const SuffStats> stats =
-      SuffStatsCache::Global().GetOrBuild(data, split.train, num_threads);
-  if (stats == nullptr) return nullptr;
-  return std::make_unique<NbSubsetEvaluator>(data, stats, split.validation,
-                                             metric, nb->alpha(), candidates,
-                                             num_threads);
+// Subtree count for the parallel lattice DFS: enough to keep every worker
+// busy (≥4× effective threads), but never more than the lattice has — or
+// than is worth the per-task setup.
+uint32_t ChooseSplitBits(uint32_t d, uint32_t num_threads) {
+  const uint32_t effective =
+      num_threads == 0
+          ? static_cast<uint32_t>(ThreadPool::Global().num_workers() + 1)
+          : num_threads;
+  uint32_t split_bits = 0;
+  while ((1u << split_bits) < 4 * effective && split_bits < d &&
+         split_bits < 12) {
+    ++split_bits;
+  }
+  return split_bits;
 }
 
-std::unique_ptr<NbSubsetEvaluator> TryMakeNbEvaluatorFactorized(
+// The delta scorer. Every score is summed in the order a retrain would
+// sum it — the base in the order it was built, an added feature last,
+// prefixes in rank order, lattice subsets in ascending bit order — so it
+// is bit-identical to the retrain scorer over Naive Bayes. Removals are
+// the exception: EvalBaseMinus subtracts a column, which re-associates
+// the sum (~1e-15 per score, docs/PERFORMANCE.md).
+class DeltaScorer final : public CandidateScorer {
+ public:
+  DeltaScorer(std::unique_ptr<NbSubsetEvaluator> ev,
+              std::shared_ptr<const SuffStats> stats, uint32_t num_threads)
+      : CandidateScorer(/*delta=*/true, num_threads),
+        ev_(std::move(ev)),
+        stats_(std::move(stats)) {}
+
+  std::shared_ptr<const SuffStats> TrainStats() const override {
+    return stats_;
+  }
+
+ private:
+  Result<double> EvalNewBase() override {
+    ev_->ResetBase(base());
+    return ev_->EvalBase();
+  }
+
+  void BaseAdded(uint32_t feature) override { ev_->AddToBase(feature); }
+  void BaseRemoved(uint32_t feature) override {
+    ev_->RemoveFromBase(feature);
+  }
+
+  Status EvalAdditions(const std::vector<uint32_t>& features,
+                       std::vector<double>* errors) override {
+    ParallelFor(static_cast<uint32_t>(features.size()), num_threads(),
+                [&](uint32_t i) {
+                  obs::ScopedLatency latency(FsCandidateEvalHistogram());
+                  (*errors)[i] = ev().EvalBasePlus(features[i]);
+                });
+    return Status::OK();
+  }
+
+  Status EvalRemovals(std::vector<double>* errors) override {
+    ParallelFor(static_cast<uint32_t>(base().size()), num_threads(),
+                [&](uint32_t i) {
+                  obs::ScopedLatency latency(FsCandidateEvalHistogram());
+                  (*errors)[i] = ev().EvalBaseMinus(base()[i]);
+                });
+    return Status::OK();
+  }
+
+  // The prefixes are nested, so one AddToBase per prefix scores them all.
+  Status EvalPrefixes(const std::vector<uint32_t>& order,
+                      std::vector<double>* errors) override {
+    ev_->ResetBase({});
+    for (size_t k = 0; k < order.size(); ++k) {
+      obs::ScopedLatency latency(FsCandidateEvalHistogram());
+      ev_->AddToBase(order[k]);
+      (*errors)[k] = ev_->EvalBase();
+    }
+    return Status::OK();
+  }
+
+  // A DFS over the lattice that shares partial score sums between
+  // subsets. The low `split_bits` bits of the mask are enumerated as
+  // independent subtrees (parallel work items); within a subtree,
+  // extending the subset by one feature is one AccumulateFeature pass, so
+  // each of the 2^d leaves costs O(eval_rows × classes).
+  Status EvalLattice(const std::vector<uint32_t>& features,
+                     std::vector<double>* errors) override {
+    const NbSubsetEvaluator& ev = this->ev();
+    const uint32_t d = static_cast<uint32_t>(features.size());
+    const uint32_t split_bits = ChooseSplitBits(d, num_threads());
+    ParallelFor(1u << split_bits, num_threads(), [&](uint32_t prefix) {
+      // One score buffer per DFS level, reused across the whole subtree.
+      std::vector<std::vector<double>> levels(d - split_bits + 1);
+      ev.InitScores(&levels[0]);
+      for (uint32_t j = 0; j < split_bits; ++j) {
+        if (prefix & (1u << j)) {
+          ev.AccumulateFeature(features[j], levels[0], &levels[0]);
+        }
+      }
+      auto rec = [&](auto&& self, uint32_t level, uint32_t bit,
+                     uint32_t mask) -> void {
+        if (bit == d) {
+          obs::ScopedLatency latency(FsCandidateEvalHistogram());
+          (*errors)[mask] = ev.ErrorFromScores(levels[level]);
+          return;
+        }
+        self(self, level, bit + 1, mask);  // Exclude features[bit].
+        ev.AccumulateFeature(features[bit], levels[level],
+                             &levels[level + 1]);
+        self(self, level + 1, bit + 1, mask | (1u << bit));
+      };
+      rec(rec, 0, split_bits, prefix);
+    });
+    return Status::OK();
+  }
+
+  // The const view the parallel evaluations share; the base mutators are
+  // not safe to call concurrently, the Eval* methods are.
+  const NbSubsetEvaluator& ev() const { return *ev_; }
+
+  std::unique_ptr<NbSubsetEvaluator> ev_;
+  std::shared_ptr<const SuffStats> stats_;
+};
+
+// Trains and scores one fresh model from `factory` on `features`; bound
+// to the view, the split and the pre-gathered evaluation labels.
+using TrainAndScoreFn = std::function<Result<double>(
+    const ClassifierFactory& factory, const std::vector<uint32_t>& features)>;
+using TrainStatsFn = std::function<std::shared_ptr<const SuffStats>()>;
+
+// The retrain scorer: every batch is a set of independent TrainAndScore
+// calls, one per-index slot each, run in parallel.
+class RetrainScorer final : public CandidateScorer {
+ public:
+  RetrainScorer(ClassifierFactory factory, TrainAndScoreFn train_and_score,
+                TrainStatsFn train_stats, uint32_t num_threads)
+      : CandidateScorer(/*delta=*/false, num_threads),
+        factory_(std::move(factory)),
+        train_and_score_(std::move(train_and_score)),
+        train_stats_(std::move(train_stats)) {}
+
+  std::shared_ptr<const SuffStats> TrainStats() const override {
+    return train_stats_();
+  }
+
+  void UseRefitBudget() override {
+    factory_ = [inner = std::move(factory_)] {
+      std::unique_ptr<Classifier> model = inner();
+      model->UseRefitBudget();
+      return model;
+    };
+  }
+
+ private:
+  Result<double> EvalNewBase() override {
+    return train_and_score_(factory_, base());
+  }
+
+  Status EvalAdditions(const std::vector<uint32_t>& features,
+                       std::vector<double>* errors) override {
+    return ScoreEach(
+        static_cast<uint32_t>(features.size()),
+        [&](uint32_t i) {
+          std::vector<uint32_t> trial = base();
+          trial.push_back(features[i]);
+          return trial;
+        },
+        errors);
+  }
+
+  Status EvalRemovals(std::vector<double>* errors) override {
+    const std::vector<uint32_t>& s = base();
+    const uint32_t m = static_cast<uint32_t>(s.size());
+    return ScoreEach(
+        m,
+        [&](uint32_t i) {
+          std::vector<uint32_t> trial;
+          trial.reserve(m - 1);
+          for (uint32_t k = 0; k < m; ++k) {
+            if (k != i) trial.push_back(s[k]);
+          }
+          return trial;
+        },
+        errors);
+  }
+
+  Status EvalPrefixes(const std::vector<uint32_t>& order,
+                      std::vector<double>* errors) override {
+    return ScoreEach(
+        static_cast<uint32_t>(order.size()),
+        [&](uint32_t k) {
+          return std::vector<uint32_t>(order.begin(), order.begin() + k + 1);
+        },
+        errors);
+  }
+
+  Status EvalLattice(const std::vector<uint32_t>& features,
+                     std::vector<double>* errors) override {
+    const uint32_t d = static_cast<uint32_t>(features.size());
+    return ScoreEach(
+        1u << d,
+        [&](uint32_t mask) {
+          std::vector<uint32_t> subset;
+          for (uint32_t j = 0; j < d; ++j) {
+            if (mask & (1u << j)) subset.push_back(features[j]);
+          }
+          return subset;
+        },
+        errors);
+  }
+
+  // Scores make_subset(i) for every i in [0, count) in parallel, each
+  // into its own slot, and returns the first failure in index order.
+  template <typename MakeSubset>
+  Status ScoreEach(uint32_t count, const MakeSubset& make_subset,
+                   std::vector<double>* errors) const {
+    std::vector<Status> statuses(count);
+    ParallelFor(count, num_threads(), [&](uint32_t i) {
+      obs::ScopedLatency latency(FsCandidateEvalHistogram());
+      Result<double> err = train_and_score_(factory_, make_subset(i));
+      if (err.ok()) {
+        (*errors)[i] = *err;
+      } else {
+        statuses[i] = err.status();
+      }
+    });
+    for (const Status& st : statuses) {
+      HAMLET_RETURN_NOT_OK(st);
+    }
+    return Status::OK();
+  }
+
+  ClassifierFactory factory_;
+  TrainAndScoreFn train_and_score_;
+  TrainStatsFn train_stats_;
+};
+
+// The delta scorer needs a Naive Bayes factory, the statistics of a
+// non-empty train split, and no force_scan_eval. The factory is an opaque
+// std::function, so one probe instance tells which classifier it makes.
+const NaiveBayes* DeltaCandidate(const Classifier& probe,
+                                 const HoldoutSplit& split,
+                                 bool force_scan_eval) {
+  if (force_scan_eval || split.train.empty()) return nullptr;
+  return dynamic_cast<const NaiveBayes*>(&probe);
+}
+
+}  // namespace
+
+Result<double> CandidateScorer::ResetBase(std::vector<uint32_t> subset) {
+  base_ = std::move(subset);
+  Result<double> err = EvalNewBase();
+  Record(1, /*baseline=*/true);
+  return err;
+}
+
+void CandidateScorer::AddToBase(uint32_t feature) {
+  base_.push_back(feature);
+  BaseAdded(feature);
+}
+
+void CandidateScorer::RemoveFromBase(size_t pos) {
+  const uint32_t feature = base_[pos];
+  base_.erase(base_.begin() + static_cast<ptrdiff_t>(pos));
+  BaseRemoved(feature);
+}
+
+Status CandidateScorer::ScoreAdditions(const std::vector<uint32_t>& features,
+                                       std::vector<double>* errors) {
+  errors->assign(features.size(), 0.0);
+  Status st = EvalAdditions(features, errors);
+  Record(features.size(), /*baseline=*/false);
+  return st;
+}
+
+Status CandidateScorer::ScoreRemovals(std::vector<double>* errors) {
+  errors->assign(base_.size(), 0.0);
+  Status st = EvalRemovals(errors);
+  Record(base_.size(), /*baseline=*/false);
+  return st;
+}
+
+Status CandidateScorer::ScorePrefixes(const std::vector<uint32_t>& order,
+                                      std::vector<double>* errors) {
+  errors->assign(order.size(), 0.0);
+  Status st = EvalPrefixes(order, errors);
+  base_ = order;
+  Record(order.size(), /*baseline=*/false);
+  return st;
+}
+
+Status CandidateScorer::ScoreLattice(const std::vector<uint32_t>& features,
+                                     std::vector<double>* errors) {
+  const uint64_t total = uint64_t{1} << features.size();
+  errors->assign(total, 0.0);
+  Status st = EvalLattice(features, errors);
+  Record(total, /*baseline=*/false);
+  return st;
+}
+
+void CandidateScorer::Record(uint64_t count, bool baseline) {
+  models_trained_ += count;
+  FsModelsTrainedCounter().Add(count);
+  if (delta_ && !baseline) FsDeltaEvalsCounter().Add(count);
+}
+
+Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
+    const EncodedDataset& data, const HoldoutSplit& split,
+    const ClassifierFactory& factory, ErrorMetric metric,
+    const std::vector<uint32_t>& candidates, uint32_t num_threads,
+    bool force_scan_eval) {
+  const std::unique_ptr<Classifier> probe = factory();
+  if (const NaiveBayes* nb = DeltaCandidate(*probe, split, force_scan_eval)) {
+    std::shared_ptr<const SuffStats> stats =
+        SuffStatsCache::Global().GetOrBuild(data, split.train, num_threads);
+    if (stats != nullptr) {
+      auto ev = std::make_unique<NbSubsetEvaluator>(
+          data, stats, split.validation, metric, nb->alpha(), candidates,
+          num_threads);
+      return std::unique_ptr<CandidateScorer>(std::make_unique<DeltaScorer>(
+          std::move(ev), std::move(stats), num_threads));
+    }
+  }
+  return std::unique_ptr<CandidateScorer>(std::make_unique<RetrainScorer>(
+      factory,
+      [&data, &split, metric,
+       eval_labels = GatherLabels(data, split.validation)](
+          const ClassifierFactory& f, const std::vector<uint32_t>& features) {
+        return TrainAndScore(f, data, split.train, split.validation,
+                             eval_labels, features, metric);
+      },
+      [&data, &split, num_threads] {
+        std::shared_ptr<const SuffStats> stats =
+            SuffStatsCache::Global().Peek(data, split.train);
+        if (stats != nullptr) return stats;
+        return std::make_shared<const SuffStats>(
+            BuildSuffStats(data, split.train, num_threads));
+      },
+      num_threads));
+}
+
+Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     const FactorizedDataset& data, const HoldoutSplit& split,
-    ErrorMetric metric, const ClassifierFactory& factory,
-    const std::vector<uint32_t>& candidates, uint32_t num_threads) {
-  if (SuffStatsCache::Bypassed()) return nullptr;
-  if (split.train.empty()) return nullptr;
-  std::unique_ptr<Classifier> probe = factory();
-  auto* nb = dynamic_cast<NaiveBayes*>(probe.get());
-  if (nb == nullptr) return nullptr;
-  std::shared_ptr<const SuffStats> stats =
+    const ClassifierFactory& factory, ErrorMetric metric,
+    const std::vector<uint32_t>& candidates, uint32_t num_threads,
+    bool force_scan_eval) {
+  const std::unique_ptr<Classifier> probe = factory();
+  if (const NaiveBayes* nb = DeltaCandidate(*probe, split, force_scan_eval)) {
+    std::shared_ptr<const SuffStats> stats =
+        GetOrBuildFactorizedSuffStats(data, split.train, num_threads);
+    if (stats != nullptr) {
+      std::unique_ptr<NbSubsetEvaluator> ev =
+          MakeFactorizedNbEvaluator(data, stats, split.validation, metric,
+                                    nb->alpha(), candidates, num_threads);
+      return std::unique_ptr<CandidateScorer>(std::make_unique<DeltaScorer>(
+          std::move(ev), std::move(stats), num_threads));
+    }
+  }
+  if (dynamic_cast<const FactorizedTrainable*>(probe.get()) == nullptr) {
+    return Status::InvalidArgument(StringFormat(
+        "factorized selection with %s needs the Naive Bayes "
+        "sufficient-statistics path (not under force_scan_eval) or a "
+        "factorized-trainable classifier such as decision_tree or gbt: no "
+        "scan exists without the materialized join",
+        probe->name().c_str()));
+  }
+  // Warm the factorized statistics cache once so every candidate retrain
+  // seeds its root histograms from the cached counts (nullptr under a
+  // ScopedSuffStatsBypass; training then counts from the codes).
+  std::shared_ptr<const SuffStats> warm =
       GetOrBuildFactorizedSuffStats(data, split.train, num_threads);
-  if (stats == nullptr) return nullptr;
-  return MakeFactorizedNbEvaluator(data, std::move(stats), split.validation,
-                                   metric, nb->alpha(), candidates,
-                                   num_threads);
+  return std::unique_ptr<CandidateScorer>(std::make_unique<RetrainScorer>(
+      factory,
+      [&data, &split, metric,
+       eval_labels = GatherLabels(data.entity(), split.validation)](
+          const ClassifierFactory& f, const std::vector<uint32_t>& features) {
+        return TrainAndScoreFactorized(f, data, split.train, split.validation,
+                                       eval_labels, features, metric);
+      },
+      [&data, &split, num_threads, warm = std::move(warm)] {
+        if (warm != nullptr) return warm;
+        return std::make_shared<const SuffStats>(
+            BuildFactorizedSuffStats(data, split.train, num_threads));
+      },
+      num_threads));
 }
 
 Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,

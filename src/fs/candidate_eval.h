@@ -2,79 +2,153 @@
 #define HAMLET_FS_CANDIDATE_EVAL_H_
 
 /// \file candidate_eval.h
-/// Shared candidate-evaluation plumbing for the wrapper searches. All
-/// three searches (forward, backward, exhaustive) route their candidate
-/// models through these helpers so that
+/// The one seam between a feature-selection search and the data view it
+/// runs over. Every selector writes its loop once, against a
+/// CandidateScorer, and the two MakeCandidateScorer overloads below are
+/// the only view-specific code in the search layer. A scorer comes in two
+/// kinds:
 ///
-///   - the `fs.models_trained` counter and `fs.candidate_eval_ns`
-///     histogram are recorded uniformly,
-///   - evaluation labels are gathered once per search instead of once per
-///     candidate, and
-///   - the sufficient-statistics fast path (NbSubsetEvaluator) is probed
-///     in one place: TryMakeNbEvaluator returns an evaluator when the
-///     factory produces Naive Bayes models and caching is not bypassed,
-///     nullptr when the caller must fall back to the scan path.
+///   - delta: wraps an NbSubsetEvaluator over the cached sufficient
+///     statistics of the train split and scores each candidate subset
+///     with one O(eval_rows × classes) pass (Naive Bayes only);
+///   - retrain: one TrainAndScore closure bound to the view trains a
+///     fresh model per candidate subset.
+///
+/// The scorer counts the models it evaluates and records the
+/// `fs.models_trained` / `fs.delta_evals` counters and the
+/// `fs.candidate_eval_ns` histogram, so SelectionResult::models_trained
+/// and the counters come from the same place. Batch scores land in
+/// per-index slots; the argmin over them is the search's job and runs
+/// serially in index order, which keeps parallel selections bit-for-bit
+/// identical to serial ones, tie-breaks included.
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/parallel_for.h"
 #include "common/result.h"
 #include "data/encoded_dataset.h"
 #include "data/splits.h"
 #include "ml/classifier.h"
-#include "ml/eval.h"
-#include "ml/suff_stats.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "stats/metrics.h"
 
 namespace hamlet {
 
-/// Candidate models trained (or delta-evaluated) by the searches.
-obs::Counter& FsModelsTrainedCounter();
-
-/// Wall time per candidate evaluation, scan and fast path alike.
-obs::Histogram& FsCandidateEvalHistogram();
-
-/// Candidate evaluations served by an incremental delta pass instead of a
-/// full retrain.
-obs::Counter& FsDeltaEvalsCounter();
-
-/// Probes the fast path: if `factory` produces categorical Naive Bayes
-/// models and no ScopedSuffStatsBypass is active, fetches (or builds) the
-/// sufficient statistics of `split.train` from the global cache and wraps
-/// them in an NbSubsetEvaluator over `split.validation`. Returns nullptr
-/// when the caller must use the scan path (non-NB classifier, bypass
-/// active, or an empty train split).
-std::unique_ptr<NbSubsetEvaluator> TryMakeNbEvaluator(
-    const EncodedDataset& data, const HoldoutSplit& split, ErrorMetric metric,
-    const ClassifierFactory& factory, const std::vector<uint32_t>& candidates,
-    uint32_t num_threads);
-
 class FactorizedDataset;
+struct SuffStats;
 
-/// Factorized twin of TryMakeNbEvaluator: same probing rules, but the
-/// statistics come from BuildFactorizedSuffStats over the normalized
-/// (S, R) view — no materialized join anywhere — cached under the view's
-/// composite key, and the evaluator gathers its evaluation codes through
-/// the FK -> R hops. With the same underlying tables, every Eval result
-/// is bit-identical to the materialized evaluator's. nullptr exactly when
-/// TryMakeNbEvaluator would return nullptr (non-NB factory, bypass
-/// active, or an empty train split); factorized callers treat that as an
-/// error, since no scan fallback exists without the join.
-std::unique_ptr<NbSubsetEvaluator> TryMakeNbEvaluatorFactorized(
+/// Scores candidate feature subsets for one search. The base subset S is
+/// the search's current subset; batch calls score subsets derived from it
+/// (or, for prefixes and the lattice, from their own argument). Built
+/// once per search by MakeCandidateScorer; not safe for concurrent use.
+class CandidateScorer {
+ public:
+  virtual ~CandidateScorer() = default;
+
+  /// The base subset S, in the order it was built.
+  const std::vector<uint32_t>& base() const { return base_; }
+
+  /// Models evaluated so far.
+  uint64_t models_trained() const { return models_trained_; }
+
+  /// S = `subset`; returns its error. One model — a baseline, so it never
+  /// counts as a delta evaluation.
+  Result<double> ResetBase(std::vector<uint32_t> subset);
+
+  /// S = S ∪ {feature}, appended last. Evaluates nothing.
+  void AddToBase(uint32_t feature);
+
+  /// S = S \ {S[pos]}. Evaluates nothing.
+  void RemoveFromBase(size_t pos);
+
+  /// (*errors)[i] = error of S ∪ {features[i]}, with features[i] summed
+  /// last. One model per feature, evaluated in parallel.
+  Status ScoreAdditions(const std::vector<uint32_t>& features,
+                        std::vector<double>* errors);
+
+  /// (*errors)[i] = error of S \ {S[i]}. One model per member of S,
+  /// evaluated in parallel.
+  Status ScoreRemovals(std::vector<double>* errors);
+
+  /// (*errors)[k] = error of the prefix {order[0], ..., order[k]}. One
+  /// model per prefix; S is `order` afterwards.
+  Status ScorePrefixes(const std::vector<uint32_t>& order,
+                       std::vector<double>* errors);
+
+  /// (*errors)[mask] = error of {features[j] : bit j of mask is set},
+  /// features in ascending j. 2^|features| models, evaluated in parallel.
+  Status ScoreLattice(const std::vector<uint32_t>& features,
+                      std::vector<double>* errors);
+
+  /// Sufficient statistics of the train split; filter scores read their
+  /// contingency tables from them.
+  virtual std::shared_ptr<const SuffStats> TrainStats() const = 0;
+
+  /// Calls Classifier::UseRefitBudget on every candidate model trained
+  /// from now on. A no-op on the delta scorer, which trains no model.
+  virtual void UseRefitBudget() {}
+
+ protected:
+  CandidateScorer(bool delta, uint32_t num_threads)
+      : delta_(delta), num_threads_(num_threads) {}
+
+  uint32_t num_threads() const { return num_threads_; }
+
+ private:
+  /// The kind-specific halves of the public calls above. The public
+  /// calls size `errors`, update S, and record the counters.
+  virtual Result<double> EvalNewBase() = 0;
+  virtual void BaseAdded(uint32_t /*feature*/) {}
+  virtual void BaseRemoved(uint32_t /*feature*/) {}
+  virtual Status EvalAdditions(const std::vector<uint32_t>& features,
+                               std::vector<double>* errors) = 0;
+  virtual Status EvalRemovals(std::vector<double>* errors) = 0;
+  virtual Status EvalPrefixes(const std::vector<uint32_t>& order,
+                              std::vector<double>* errors) = 0;
+  virtual Status EvalLattice(const std::vector<uint32_t>& features,
+                             std::vector<double>* errors) = 0;
+
+  /// Counts `count` evaluated models; `baseline` ones are never deltas.
+  void Record(uint64_t count, bool baseline);
+
+  const bool delta_;
+  const uint32_t num_threads_;
+  std::vector<uint32_t> base_;
+  uint64_t models_trained_ = 0;
+};
+
+/// Builds the scorer for one search over the materialized `data`: delta
+/// when `factory` makes Naive Bayes models, `force_scan_eval` is off,
+/// the train split is non-empty and the sufficient-statistics cache
+/// serves the split; retrain otherwise. `candidates` are the features
+/// the search may score. Every combination is supported.
+Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
+    const EncodedDataset& data, const HoldoutSplit& split,
+    const ClassifierFactory& factory, ErrorMetric metric,
+    const std::vector<uint32_t>& candidates, uint32_t num_threads,
+    bool force_scan_eval);
+
+/// Builds the scorer for one search over the factorized (S, R) view —
+/// no joined table exists. Delta under the same rule as the materialized
+/// overload, with statistics from BuildFactorizedSuffStats; retrain when
+/// the factory's models are FactorizedTrainable (trees, GBT), reading
+/// every column through the FK -> R hops. Any other combination — Naive
+/// Bayes under `force_scan_eval`, or a classifier that can train only on
+/// a joined table — fails with InvalidArgument: there is no scan without
+/// the join. With the same tables, every score is bit-identical to the
+/// materialized scorer's.
+Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     const FactorizedDataset& data, const HoldoutSplit& split,
-    ErrorMetric metric, const ClassifierFactory& factory,
-    const std::vector<uint32_t>& candidates, uint32_t num_threads);
+    const ClassifierFactory& factory, ErrorMetric metric,
+    const std::vector<uint32_t>& candidates, uint32_t num_threads,
+    bool force_scan_eval);
 
 /// Factorized twin of ml/eval.h's TrainAndScore for classifiers that
 /// implement FactorizedTrainable (trees, GBT): trains a fresh model over
 /// the normalized (S, R) view restricted to (`train_rows`, `features`)
 /// and returns its error on `eval_rows` against the pre-gathered
 /// `eval_labels`. InvalidArgument when the factory's product is not
-/// factorized-trainable — factorized tree searches treat that as fatal,
-/// since no scan fallback exists without the materialized join.
+/// factorized-trainable.
 Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,
                                        const FactorizedDataset& data,
                                        const std::vector<uint32_t>& train_rows,
@@ -82,73 +156,6 @@ Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,
                                        const std::vector<uint32_t>& eval_labels,
                                        const std::vector<uint32_t>& features,
                                        ErrorMetric metric);
-
-/// Scan-path workhorse: evaluates `make_trial(i)`'s subset for every
-/// candidate index in [0, count) in parallel — full retrain per candidate
-/// — writing each error to its own slot, and returns the first failure in
-/// index order if any evaluation failed. `eval_labels` are the
-/// pre-gathered labels of `split.validation`. The argmax/argmin over
-/// `errors` is the caller's job and must run serially in index order; that
-/// replay is what keeps parallel selections bit-for-bit identical to
-/// serial ones, including tie-breaks.
-template <typename MakeTrial>
-Status EvaluateSubsetsScan(const EncodedDataset& data,
-                           const HoldoutSplit& split,
-                           const std::vector<uint32_t>& eval_labels,
-                           const ClassifierFactory& factory,
-                           ErrorMetric metric, uint32_t count,
-                           uint32_t num_threads, const MakeTrial& make_trial,
-                           std::vector<double>* errors) {
-  errors->assign(count, 0.0);
-  std::vector<Status> statuses(count);
-  ParallelFor(count, num_threads, [&](uint32_t i) {
-    obs::ScopedLatency latency(FsCandidateEvalHistogram());
-    Result<double> err =
-        TrainAndScore(factory, data, split.train, split.validation,
-                      eval_labels, make_trial(i), metric);
-    if (err.ok()) {
-      (*errors)[i] = *err;
-    } else {
-      statuses[i] = err.status();
-    }
-  });
-  FsModelsTrainedCounter().Add(count);
-  for (const Status& st : statuses) {
-    HAMLET_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
-}
-
-/// Factorized twin of EvaluateSubsetsScan for FactorizedTrainable
-/// classifiers: every candidate retrain reads its columns through the
-/// FK -> R hops instead of a materialized join. Same recording, error
-/// propagation, and serial-reduction contract as the materialized scan;
-/// with the same underlying tables every error is bit-identical to it.
-template <typename MakeTrial>
-Status EvaluateSubsetsScanFactorized(
-    const FactorizedDataset& data, const HoldoutSplit& split,
-    const std::vector<uint32_t>& eval_labels, const ClassifierFactory& factory,
-    ErrorMetric metric, uint32_t count, uint32_t num_threads,
-    const MakeTrial& make_trial, std::vector<double>* errors) {
-  errors->assign(count, 0.0);
-  std::vector<Status> statuses(count);
-  ParallelFor(count, num_threads, [&](uint32_t i) {
-    obs::ScopedLatency latency(FsCandidateEvalHistogram());
-    Result<double> err =
-        TrainAndScoreFactorized(factory, data, split.train, split.validation,
-                                eval_labels, make_trial(i), metric);
-    if (err.ok()) {
-      (*errors)[i] = *err;
-    } else {
-      statuses[i] = err.status();
-    }
-  });
-  FsModelsTrainedCounter().Add(count);
-  for (const Status& st : statuses) {
-    HAMLET_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
-}
 
 }  // namespace hamlet
 

@@ -24,21 +24,13 @@ class ExhaustiveSelection : public FeatureSelector {
   explicit ExhaustiveSelection(uint32_t max_candidates = 16)
       : max_candidates_(max_candidates) {}
 
-  Result<SelectionResult> Select(const EncodedDataset& data,
-                                 const HoldoutSplit& split,
-                                 const ClassifierFactory& factory,
-                                 ErrorMetric metric,
-                                 const std::vector<uint32_t>& candidates)
-      override;
-
-  Result<SelectionResult> SelectFactorized(
-      const FactorizedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) override;
-
   std::string name() const override { return "exhaustive_selection"; }
 
  private:
+  Result<SelectionResult> Search(
+      CandidateScorer& scorer,
+      const std::vector<uint32_t>& candidates) override;
+
   uint32_t max_candidates_;
 };
 

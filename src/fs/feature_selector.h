@@ -7,6 +7,7 @@
 /// this interface; embedded methods live inside LogisticRegression.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,30 +33,35 @@ struct SelectionResult {
   uint64_t models_trained = 0;
 };
 
+class CandidateScorer;
+
 /// Searches the subset lattice of `candidates` for an accurate subset.
+/// Each method writes its search once, in the private Search, against a
+/// CandidateScorer (fs/candidate_eval.h); Select and SelectFactorized
+/// only build the scorer for their view and run that one search.
 class FeatureSelector {
  public:
   virtual ~FeatureSelector() = default;
 
   /// Runs the search: models train on `split.train` and are compared on
   /// `split.validation` under `metric`.
-  virtual Result<SelectionResult> Select(
-      const EncodedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) = 0;
+  Result<SelectionResult> Select(const EncodedDataset& data,
+                                 const HoldoutSplit& split,
+                                 const ClassifierFactory& factory,
+                                 ErrorMetric metric,
+                                 const std::vector<uint32_t>& candidates);
 
-  /// Factorized variant: runs the same search over a normalized (S, R)
-  /// view (ml/factorized.h) without materializing the join. Only the
-  /// sufficient-statistics fast path exists here — the whole point is
-  /// that no joined table is available to scan — so this requires a
-  /// Naive Bayes factory and no active ScopedSuffStatsBypass, and fails
-  /// with InvalidArgument otherwise. Feature indices are interchangeable
-  /// with the materialized path's (the factorized feature space equals
+  /// Runs the same search over a normalized (S, R) view (ml/factorized.h)
+  /// without materializing the join. Naive Bayes scores candidates from
+  /// the view's sufficient statistics; factorized-trainable classifiers
+  /// (decision_tree, gbt) retrain through the FK -> R hops. Any other
+  /// combination, Naive Bayes under force_scan_eval included, fails with
+  /// InvalidArgument. Feature indices are interchangeable with the
+  /// materialized path's (the factorized feature space equals
   /// FromTableAuto on the joined table), and selections, errors, and
   /// tie-breaks are bit-for-bit identical to Select on the materialized
-  /// join at any thread count. The default implementation reports
-  /// NotImplemented; every bundled selector overrides it.
-  virtual Result<SelectionResult> SelectFactorized(
+  /// join at any thread count.
+  Result<SelectionResult> SelectFactorized(
       const FactorizedDataset& data, const HoldoutSplit& split,
       const ClassifierFactory& factory, ErrorMetric metric,
       const std::vector<uint32_t>& candidates);
@@ -72,15 +78,25 @@ class FeatureSelector {
   void set_num_threads(uint32_t num_threads) { num_threads_ = num_threads; }
   uint32_t num_threads() const { return num_threads_; }
 
-  /// Forces the original scan-based evaluation (full model retrain per
-  /// candidate) even when a sufficient-statistics fast path is available.
-  /// Escape hatch surfaced as PipelineConfig::force_scan_eval; the fast
-  /// path selects identical subsets, so this only trades speed.
+  /// Forces the retrain scorer (a full model retrain per candidate) even
+  /// when the sufficient-statistics delta scorer is available. Escape
+  /// hatch surfaced as PipelineConfig::force_scan_eval; the delta scorer
+  /// selects identical subsets, so this only trades speed.
   void set_force_scan_eval(bool force) { force_scan_eval_ = force; }
   bool force_scan_eval() const { return force_scan_eval_; }
 
  protected:
   uint32_t num_threads_ = 0;
+
+ private:
+  /// The method's one search loop. Returns the selection and its
+  /// validation error; models_trained is filled in from the scorer.
+  virtual Result<SelectionResult> Search(
+      CandidateScorer& scorer, const std::vector<uint32_t>& candidates) = 0;
+
+  Result<SelectionResult> Run(Result<std::unique_ptr<CandidateScorer>> scorer,
+                              const std::vector<uint32_t>& candidates);
+
   bool force_scan_eval_ = false;
 };
 

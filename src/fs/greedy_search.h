@@ -11,7 +11,9 @@
 /// scored in parallel on the shared pool (set_num_threads on the base
 /// class) with a barrier per step; the winner is then picked by a serial
 /// index-ordered reduction, keeping selections bit-for-bit identical to a
-/// serial run at any thread count.
+/// serial run at any thread count. Both searches call UseRefitBudget on
+/// their scorer: candidate tree and GBT models train at the cheap refit
+/// budget, and the runner's final fit trains a fresh full-budget model.
 
 #include "fs/feature_selector.h"
 
@@ -24,21 +26,13 @@ class ForwardSelection : public FeatureSelector {
   explicit ForwardSelection(double tolerance = 0.0)
       : tolerance_(tolerance) {}
 
-  Result<SelectionResult> Select(const EncodedDataset& data,
-                                 const HoldoutSplit& split,
-                                 const ClassifierFactory& factory,
-                                 ErrorMetric metric,
-                                 const std::vector<uint32_t>& candidates)
-      override;
-
-  Result<SelectionResult> SelectFactorized(
-      const FactorizedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) override;
-
   std::string name() const override { return "forward_selection"; }
 
  private:
+  Result<SelectionResult> Search(
+      CandidateScorer& scorer,
+      const std::vector<uint32_t>& candidates) override;
+
   double tolerance_;
 };
 
@@ -50,21 +44,13 @@ class BackwardSelection : public FeatureSelector {
   explicit BackwardSelection(double tolerance = 0.0)
       : tolerance_(tolerance) {}
 
-  Result<SelectionResult> Select(const EncodedDataset& data,
-                                 const HoldoutSplit& split,
-                                 const ClassifierFactory& factory,
-                                 ErrorMetric metric,
-                                 const std::vector<uint32_t>& candidates)
-      override;
-
-  Result<SelectionResult> SelectFactorized(
-      const FactorizedDataset& data, const HoldoutSplit& split,
-      const ClassifierFactory& factory, ErrorMetric metric,
-      const std::vector<uint32_t>& candidates) override;
-
   std::string name() const override { return "backward_selection"; }
 
  private:
+  Result<SelectionResult> Search(
+      CandidateScorer& scorer,
+      const std::vector<uint32_t>& candidates) override;
+
   double tolerance_;
 };
 

@@ -1,6 +1,7 @@
 #include "fs/runner.h"
 
 #include "common/timer.h"
+#include "fs/candidate_eval.h"
 #include "fs/filters.h"
 #include "fs/greedy_search.h"
 #include "ml/decision_tree.h"
@@ -44,6 +45,98 @@ bool FactoryMakesTreeModel(const ClassifierFactory& factory) {
   std::unique_ptr<Classifier> probe = factory();
   return dynamic_cast<DecisionTree*>(probe.get()) != nullptr ||
          dynamic_cast<Gbt*>(probe.get()) != nullptr;
+}
+
+// The final fit over the factorized view never materializes the join.
+// With a Naive Bayes factory it trains straight from the factorized
+// statistics (a cache hit after the search) and scores the test split
+// through an evaluator whose codes come via the FK hops — the exact
+// doubles the materialized TrainAndScore would produce: TrainFromStats is
+// how NB trains from counts, and EvalSubset sums the subset in selection
+// order, the prediction path's order. Factorized-trainable classifiers
+// (trees, GBT) train a fresh full-budget model through TrainFactorized,
+// which they guarantee bit-identical to the materialized twin.
+Result<double> FactorizedFinalFit(const FactorizedDataset& data,
+                                  const HoldoutSplit& split,
+                                  const ClassifierFactory& factory,
+                                  ErrorMetric metric,
+                                  const std::vector<uint32_t>& selected,
+                                  uint32_t num_threads) {
+  std::unique_ptr<Classifier> probe = factory();
+  auto* nb = dynamic_cast<NaiveBayes*>(probe.get());
+  if (nb == nullptr) {
+    return TrainAndScoreFactorized(factory, data, split.train, split.test,
+                                   GatherLabels(data.entity(), split.test),
+                                   selected, metric);
+  }
+  std::shared_ptr<const SuffStats> stats =
+      GetOrBuildFactorizedSuffStats(data, split.train, num_threads);
+  if (stats == nullptr) {
+    return Status::FailedPrecondition(
+        "factorized final fit requires an active sufficient-statistics "
+        "cache (ScopedSuffStatsBypass is incompatible with factorized "
+        "Naive Bayes runs)");
+  }
+  HAMLET_RETURN_NOT_OK(nb->TrainFromStats(*stats, selected));
+  std::unique_ptr<NbSubsetEvaluator> holdout = MakeFactorizedNbEvaluator(
+      data, stats, split.test, metric, nb->alpha(), selected, num_threads);
+  return holdout->EvalSubset(selected);
+}
+
+// The body both runners share: the timed, traced search, then the final
+// fit on the chosen subset, then the stage summary. `search_op` is the
+// cost-profile key of a Naive Bayes search over this view.
+template <typename Data, typename Search, typename FinalFit>
+Result<FsRunReport> RunSearchThenFit(FeatureSelector& selector,
+                                     const Data& data,
+                                     const ClassifierFactory& factory,
+                                     const std::vector<uint32_t>& candidates,
+                                     const char* search_op,
+                                     const Search& search,
+                                     const FinalFit& final_fit) {
+  FsRunReport report;
+  report.method = selector.name();
+
+  Timer total_timer;
+  {
+    obs::TraceSpan span("fs.search");
+    span.AddAttr("method", selector.name());
+    span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
+    Timer timer;
+    HAMLET_ASSIGN_OR_RETURN(report.selection, search());
+    report.runtime_seconds = timer.ElapsedSeconds();
+    span.AddAttr("models_trained", report.selection.models_trained);
+    span.AddAttr("selected",
+                 static_cast<uint64_t>(report.selection.selected.size()));
+    RecordSearchCost(
+        FactoryMakesTreeModel(factory) ? "fs.search.tree" : search_op,
+        data.num_rows(), report.selection.models_trained, candidates.size(),
+        selector.num_threads(), report.runtime_seconds);
+  }
+
+  report.selected_names = data.FeatureNames(report.selection.selected);
+  {
+    obs::TraceSpan span("fs.final_fit");
+    span.AddAttr("features",
+                 static_cast<uint64_t>(report.selection.selected.size()));
+    Timer timer;
+    HAMLET_ASSIGN_OR_RETURN(report.holdout_test_error,
+                            final_fit(report.selection.selected));
+    report.fit_seconds = timer.ElapsedSeconds();
+  }
+  report.total_seconds = total_timer.ElapsedSeconds();
+
+  // The same decomposition the spans record, embedded so every consumer
+  // (traced or not) sees where the run's time went.
+  report.trace_summary.stages = {
+      {"fs.search", 0, 1, report.runtime_seconds, report.runtime_seconds,
+       {{"models_trained",
+         static_cast<int64_t>(report.selection.models_trained)}}},
+      {"fs.final_fit", 0, 1, report.fit_seconds, report.fit_seconds, {}}};
+  report.trace_summary.counters = {
+      {"fs.models_trained", report.selection.models_trained}};
+  report.trace_summary.total_seconds = report.total_seconds;
+  return report;
 }
 
 }  // namespace
@@ -98,145 +191,29 @@ Result<FsRunReport> RunFeatureSelection(
     FeatureSelector& selector, const EncodedDataset& data,
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates) {
-  FsRunReport report;
-  report.method = selector.name();
-
-  Timer total_timer;
-  {
-    obs::TraceSpan span("fs.search");
-    span.AddAttr("method", selector.name());
-    span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
-    Timer timer;
-    HAMLET_ASSIGN_OR_RETURN(
-        report.selection,
-        selector.Select(data, split, factory, metric, candidates));
-    report.runtime_seconds = timer.ElapsedSeconds();
-    span.AddAttr("models_trained", report.selection.models_trained);
-    span.AddAttr("selected",
-                 static_cast<uint64_t>(report.selection.selected.size()));
-    RecordSearchCost(FactoryMakesTreeModel(factory) ? "fs.search.tree"
-                                                    : "fs.search.materialized",
-                     data.num_rows(), report.selection.models_trained,
-                     candidates.size(), selector.num_threads(),
-                     report.runtime_seconds);
-  }
-
-  report.selected_names = data.FeatureNames(report.selection.selected);
-  {
-    obs::TraceSpan span("fs.final_fit");
-    span.AddAttr("features",
-                 static_cast<uint64_t>(report.selection.selected.size()));
-    Timer timer;
-    HAMLET_ASSIGN_OR_RETURN(
-        report.holdout_test_error,
-        TrainAndScore(factory, data, split.train, split.test,
-                      report.selection.selected, metric));
-    report.fit_seconds = timer.ElapsedSeconds();
-  }
-  report.total_seconds = total_timer.ElapsedSeconds();
-
-  // The same decomposition the spans record, embedded so every consumer
-  // (traced or not) sees where the run's time went.
-  report.trace_summary.stages = {
-      {"fs.search", 0, 1, report.runtime_seconds, report.runtime_seconds,
-       {{"models_trained",
-         static_cast<int64_t>(report.selection.models_trained)}}},
-      {"fs.final_fit", 0, 1, report.fit_seconds, report.fit_seconds, {}}};
-  report.trace_summary.counters = {
-      {"fs.models_trained", report.selection.models_trained}};
-  report.trace_summary.total_seconds = report.total_seconds;
-  return report;
+  return RunSearchThenFit(
+      selector, data, factory, candidates, "fs.search.materialized",
+      [&] { return selector.Select(data, split, factory, metric, candidates); },
+      [&](const std::vector<uint32_t>& selected) {
+        return TrainAndScore(factory, data, split.train, split.test, selected,
+                             metric);
+      });
 }
 
 Result<FsRunReport> RunFeatureSelectionFactorized(
     FeatureSelector& selector, const FactorizedDataset& data,
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates) {
-  FsRunReport report;
-  report.method = selector.name();
-
-  Timer total_timer;
-  {
-    obs::TraceSpan span("fs.search");
-    span.AddAttr("method", selector.name());
-    span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
-    Timer timer;
-    HAMLET_ASSIGN_OR_RETURN(
-        report.selection,
-        selector.SelectFactorized(data, split, factory, metric, candidates));
-    report.runtime_seconds = timer.ElapsedSeconds();
-    span.AddAttr("models_trained", report.selection.models_trained);
-    span.AddAttr("selected",
-                 static_cast<uint64_t>(report.selection.selected.size()));
-    RecordSearchCost(FactoryMakesTreeModel(factory) ? "fs.search.tree"
-                                                    : "fs.search.factorized",
-                     data.num_rows(), report.selection.models_trained,
-                     candidates.size(), selector.num_threads(),
-                     report.runtime_seconds);
-  }
-
-  report.selected_names = data.FeatureNames(report.selection.selected);
-  {
-    obs::TraceSpan span("fs.final_fit");
-    span.AddAttr("features",
-                 static_cast<uint64_t>(report.selection.selected.size()));
-    Timer timer;
-    // The final fit never materializes the join. With a Naive Bayes
-    // factory it trains straight from the factorized statistics (a cache
-    // hit after the search) and scores the test split through an
-    // evaluator whose codes come via the FK hops — the exact doubles the
-    // materialized TrainAndScore would produce: TrainFromStats is how NB
-    // trains from counts, and EvalSubset sums the subset in selection
-    // order, the prediction path's order. Factorized-trainable
-    // classifiers (trees, GBT) instead run their own full-budget
-    // TrainFactorized/PredictFactorized, which they guarantee
-    // bit-identical to the materialized twin.
-    std::unique_ptr<Classifier> probe = factory();
-    if (auto* nb = dynamic_cast<NaiveBayes*>(probe.get())) {
-      std::shared_ptr<const SuffStats> stats = GetOrBuildFactorizedSuffStats(
-          data, split.train, selector.num_threads());
-      if (stats == nullptr) {
-        return Status::FailedPrecondition(
-            "factorized final fit requires an active sufficient-statistics "
-            "cache (ScopedSuffStatsBypass is incompatible with factorized "
-            "runs)");
-      }
-      HAMLET_RETURN_NOT_OK(
-          nb->TrainFromStats(*stats, report.selection.selected));
-      std::unique_ptr<NbSubsetEvaluator> holdout = MakeFactorizedNbEvaluator(
-          data, stats, split.test, metric, nb->alpha(),
-          report.selection.selected, selector.num_threads());
-      report.holdout_test_error =
-          holdout->EvalSubset(report.selection.selected);
-    } else if (auto* factorized =
-                   dynamic_cast<FactorizedTrainable*>(probe.get())) {
-      HAMLET_RETURN_NOT_OK(factorized->TrainFactorized(
-          data, split.train, report.selection.selected));
-      std::vector<uint32_t> predicted;
-      HAMLET_RETURN_NOT_OK(
-          factorized->PredictFactorized(data, split.test, &predicted));
-      std::vector<uint32_t> test_labels;
-      test_labels.reserve(split.test.size());
-      for (uint32_t r : split.test) test_labels.push_back(data.labels()[r]);
-      report.holdout_test_error = ComputeError(metric, test_labels, predicted);
-    } else {
-      return Status::InvalidArgument(
-          "factorized runs require a Naive Bayes or factorized-trainable "
-          "(decision_tree/gbt) factory");
-    }
-    report.fit_seconds = timer.ElapsedSeconds();
-  }
-  report.total_seconds = total_timer.ElapsedSeconds();
-
-  report.trace_summary.stages = {
-      {"fs.search", 0, 1, report.runtime_seconds, report.runtime_seconds,
-       {{"models_trained",
-         static_cast<int64_t>(report.selection.models_trained)}}},
-      {"fs.final_fit", 0, 1, report.fit_seconds, report.fit_seconds, {}}};
-  report.trace_summary.counters = {
-      {"fs.models_trained", report.selection.models_trained}};
-  report.trace_summary.total_seconds = report.total_seconds;
-  return report;
+  return RunSearchThenFit(
+      selector, data, factory, candidates, "fs.search.factorized",
+      [&] {
+        return selector.SelectFactorized(data, split, factory, metric,
+                                         candidates);
+      },
+      [&](const std::vector<uint32_t>& selected) {
+        return FactorizedFinalFit(data, split, factory, metric, selected,
+                                  selector.num_threads());
+      });
 }
 
 }  // namespace hamlet

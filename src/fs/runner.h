@@ -29,9 +29,9 @@ const char* FsMethodToString(FsMethod method);
 /// Constructs the selector for a method. `num_threads` shards each search
 /// step's independent candidate evaluations onto the shared pool (0 = one
 /// shard per hardware thread, 1 = serial); every setting produces
-/// bit-for-bit identical selections. `force_scan_eval` disables the
-/// sufficient-statistics fast path (full retrain per candidate) — the
-/// escape hatch behind PipelineConfig::force_scan_eval.
+/// bit-for-bit identical selections. `force_scan_eval` makes the search
+/// retrain every candidate instead of using the sufficient-statistics
+/// delta scorer — the escape hatch behind PipelineConfig::force_scan_eval.
 std::unique_ptr<FeatureSelector> MakeSelector(FsMethod method,
                                               uint32_t num_threads = 0,
                                               bool force_scan_eval = false);
@@ -65,14 +65,14 @@ Result<FsRunReport> RunFeatureSelection(
     ErrorMetric metric, const std::vector<uint32_t>& candidates);
 
 /// Factorized twin of RunFeatureSelection: the search runs through
-/// SelectFactorized over the normalized (S, R) view and the final model
-/// is trained straight from the factorized sufficient statistics — no
-/// joined table is ever materialized, not even for the holdout scoring,
-/// which goes through an evaluator that gathers test-row codes via the
-/// FK hops. Requires a Naive Bayes factory (the view's statistics are
-/// what NB trains from); reports, selections, errors, and timings carry
-/// the same fields and stage names as the materialized runner, and every
-/// number except the timings is bit-identical to it.
+/// SelectFactorized over the normalized (S, R) view, and so does the
+/// final fit — no joined table is ever materialized, not even for the
+/// holdout scoring. Naive Bayes trains straight from the factorized
+/// sufficient statistics and scores the test rows through an evaluator
+/// that gathers their codes via the FK hops; trees and GBT train and
+/// predict through TrainFactorized/PredictFactorized. Reports carry the
+/// same fields and stage names as the materialized runner (the two share
+/// one body), and every number except the timings is bit-identical to it.
 Result<FsRunReport> RunFeatureSelectionFactorized(
     FeatureSelector& selector, const FactorizedDataset& data,
     const HoldoutSplit& split, const ClassifierFactory& factory,

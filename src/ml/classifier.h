@@ -40,6 +40,13 @@ class Classifier {
 
   /// Human-readable model name ("naive_bayes", ...).
   virtual std::string name() const = 0;
+
+  /// Caps this model at its cheap-refit budget for every later Train. The
+  /// greedy wrapper searches call it on each candidate model, so an
+  /// O(d^2) search does not pay for d^2 full-capacity fits; the final fit
+  /// is a fresh model at full strength. A no-op by default; DecisionTree
+  /// and Gbt override it. It affects this model only.
+  virtual void UseRefitBudget() {}
 };
 
 /// Creates fresh classifier instances; wrappers re-train one model per

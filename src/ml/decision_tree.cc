@@ -1,7 +1,6 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -17,8 +16,6 @@
 namespace hamlet {
 
 namespace {
-
-std::atomic<int> g_refit_budget_depth{0};
 
 obs::Histogram& TreeTrainHistogram() {
   static obs::Histogram& histogram =
@@ -403,18 +400,6 @@ Status CheckTrainInputs(const Data& data, const std::vector<uint32_t>& rows,
 
 }  // namespace
 
-ScopedTreeRefitBudget::ScopedTreeRefitBudget(bool enable) : enabled_(enable) {
-  if (enabled_) g_refit_budget_depth.fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedTreeRefitBudget::~ScopedTreeRefitBudget() {
-  if (enabled_) g_refit_budget_depth.fetch_sub(1, std::memory_order_relaxed);
-}
-
-bool ScopedTreeRefitBudget::Active() {
-  return g_refit_budget_depth.load(std::memory_order_relaxed) > 0;
-}
-
 DecisionTree::DecisionTree(DecisionTreeOptions options)
     : options_(options) {
   HAMLET_CHECK(options_.alpha > 0.0,
@@ -478,7 +463,7 @@ Status DecisionTree::TrainImpl(uint32_t num_classes,
   scores_.clear();
 
   uint32_t max_depth = options_.max_depth;
-  if (ScopedTreeRefitBudget::Active()) {
+  if (refit_budget_) {
     max_depth = std::min(max_depth, options_.candidate_max_depth);
   }
 

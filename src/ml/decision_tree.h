@@ -55,11 +55,10 @@ struct SuffStats;
 
 /// Training knobs. `alpha` smooths the leaf class probabilities exactly
 /// like the Naive Bayes prior (footnote 2's handling of values absent
-/// from a sample). `candidate_max_depth` is the cheap-refit budget: while
-/// a ScopedTreeRefitBudget is active — the fs searches activate one
-/// around candidate evaluation — training caps depth there, so the
-/// O(d^2) wrapper retrains grow stumps while the final fit (outside the
-/// scope) grows the full tree.
+/// from a sample). `candidate_max_depth` is the cheap-refit budget: a
+/// tree on which UseRefitBudget was called caps its depth there — the
+/// greedy fs searches call it on their candidate models — so the O(d^2)
+/// wrapper retrains grow stumps while the final fit grows the full tree.
 struct DecisionTreeOptions {
   double alpha = 1.0;             ///< Laplace pseudo-count for leaf probs.
   uint32_t max_depth = 6;         ///< Root is depth 0.
@@ -126,6 +125,9 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
 
   std::string name() const override { return "decision_tree"; }
 
+  /// Caps every later Train at options().candidate_max_depth.
+  void UseRefitBudget() override { refit_budget_ = true; }
+
   /// Per-class log-scores of `row`'s leaf, written into `*out` (resized
   /// to num_classes) — the serving layer's batched scoring hook, same
   /// contract as NaiveBayes::LogScoresInto.
@@ -172,6 +174,7 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
                    std::vector<uint32_t>* out) const;
 
   DecisionTreeOptions options_;
+  bool refit_budget_ = false;
   uint32_t num_classes_ = 0;
   std::vector<uint32_t> features_;       // Trained slot -> feature index.
   std::vector<uint32_t> cardinalities_;  // Per slot.
@@ -198,28 +201,6 @@ Status ValidateTreeStructure(const std::vector<int32_t>& split_slot,
                              size_t num_slots,
                              const std::vector<uint32_t>& cardinalities,
                              const char* context);
-
-/// RAII refit-budget switch, modeled on ScopedSuffStatsBypass:
-/// process-wide and nestable. While one is alive, DecisionTree caps its
-/// depth at candidate_max_depth and Gbt caps rounds/depth at its
-/// candidate budget — the cheap per-candidate refit the fs searches use
-/// so that an O(d^2) wrapper doesn't pay d^2 full ensemble fits. The
-/// final fit after the search runs outside any scope and gets the full
-/// budget.
-class ScopedTreeRefitBudget {
- public:
-  explicit ScopedTreeRefitBudget(bool enable = true);
-  ~ScopedTreeRefitBudget();
-
-  ScopedTreeRefitBudget(const ScopedTreeRefitBudget&) = delete;
-  ScopedTreeRefitBudget& operator=(const ScopedTreeRefitBudget&) = delete;
-
-  /// True while any instance is alive anywhere in the process.
-  static bool Active();
-
- private:
-  bool enabled_;
-};
 
 }  // namespace hamlet
 

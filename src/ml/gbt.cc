@@ -298,7 +298,7 @@ Status Gbt::TrainImpl(uint32_t num_classes,
 
   uint32_t rounds = options_.num_rounds;
   uint32_t max_depth = options_.max_depth;
-  if (ScopedTreeRefitBudget::Active()) {
+  if (refit_budget_) {
     rounds = std::min(rounds, options_.candidate_rounds);
     max_depth = std::min(max_depth, options_.candidate_max_depth);
   }

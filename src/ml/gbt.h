@@ -38,9 +38,9 @@
 namespace hamlet {
 
 /// Training knobs. `candidate_rounds`/`candidate_max_depth` are the
-/// cheap-refit budget used while a ScopedTreeRefitBudget is active (see
-/// ml/decision_tree.h): the fs searches train truncated ensembles per
-/// candidate and leave the full budget to the final fit.
+/// cheap-refit budget of an ensemble on which UseRefitBudget was called
+/// (see ml/decision_tree.h): the greedy fs searches train truncated
+/// ensembles per candidate and leave the full budget to the final fit.
 struct GbtOptions {
   uint32_t num_rounds = 20;      ///< Boosting rounds (num_classes trees each).
   double learning_rate = 0.3;    ///< η, folded into stored leaf values.
@@ -105,6 +105,10 @@ class Gbt : public Classifier, public FactorizedTrainable {
 
   std::string name() const override { return "gbt"; }
 
+  /// Caps every later Train at options().candidate_rounds rounds of
+  /// options().candidate_max_depth trees.
+  void UseRefitBudget() override { refit_budget_ = true; }
+
   /// Boosted per-class logits of one row, written into `*out` (resized to
   /// num_classes) — the serving layer's batched scoring hook, same
   /// contract as NaiveBayes::LogScoresInto.
@@ -135,6 +139,7 @@ class Gbt : public Classifier, public FactorizedTrainable {
                    const std::vector<std::vector<uint32_t>>& codes);
 
   GbtOptions options_;
+  bool refit_budget_ = false;
   uint32_t num_classes_ = 0;
   std::vector<uint32_t> features_;       // Trained slot -> feature index.
   std::vector<uint32_t> cardinalities_;  // Per slot.

@@ -154,11 +154,13 @@ class SuffStatsCache {
   mutable std::vector<Entry> entries_;
 };
 
-/// RAII escape hatch: while alive (and constructed with enable=true),
-/// every SuffStatsCache lookup misses and nothing is cached, so all
-/// training and scoring takes the original scan paths. Process-wide and
-/// nestable; used by PipelineConfig::force_scan_eval and the
-/// cached-vs-scan equivalence tests.
+/// RAII test and benchmark facility: while alive (and constructed with
+/// enable=true), every SuffStatsCache lookup misses and nothing is
+/// cached, so all training and scoring takes the scan paths — the
+/// reference the cached-vs-scan equivalence tests compare against.
+/// Process-wide and nestable, so no library code opens one:
+/// PipelineConfig::force_scan_eval reaches the search through
+/// MakeSelector instead.
 class ScopedSuffStatsBypass {
  public:
   explicit ScopedSuffStatsBypass(bool enable = true);

@@ -119,26 +119,19 @@ TEST(DecisionTreeTest, RefitBudgetCapsDepthWhileActive) {
   ASSERT_TRUE(full.Train(d, rows, {0, 1}).ok());
   ASSERT_GT(full.num_nodes(), 1u);
 
-  EXPECT_FALSE(ScopedTreeRefitBudget::Active());
-  {
-    ScopedTreeRefitBudget budget;
-    EXPECT_TRUE(ScopedTreeRefitBudget::Active());
-    DecisionTree capped(options);
-    ASSERT_TRUE(capped.Train(d, rows, {0, 1}).ok());
-    EXPECT_EQ(capped.num_nodes(), 1u);
-    {
-      // Nestable, and a disabled scope does not release the budget.
-      ScopedTreeRefitBudget inner;
-      ScopedTreeRefitBudget disabled(false);
-    }
-    EXPECT_TRUE(ScopedTreeRefitBudget::Active());
-  }
-  EXPECT_FALSE(ScopedTreeRefitBudget::Active());
+  // The budget belongs to the model it is called on: every later Train
+  // of that model is capped, and no other model is.
+  DecisionTree capped(options);
+  capped.UseRefitBudget();
+  ASSERT_TRUE(capped.Train(d, rows, {0, 1}).ok());
+  EXPECT_EQ(capped.num_nodes(), 1u);
 
-  // Outside the scope the same options grow the full tree again.
-  DecisionTree after(options);
-  ASSERT_TRUE(after.Train(d, rows, {0, 1}).ok());
-  EXPECT_EQ(after.num_nodes(), full.num_nodes());
+  DecisionTree other(options);
+  ASSERT_TRUE(other.Train(d, rows, {0, 1}).ok());
+  EXPECT_EQ(other.num_nodes(), full.num_nodes());
+
+  ASSERT_TRUE(capped.Train(d, rows, {0, 1}).ok());
+  EXPECT_EQ(capped.num_nodes(), 1u);
 }
 
 TEST(DecisionTreeTest, LogScoresIntoMatchesPredictOne) {

@@ -4,15 +4,24 @@
 /// identical results at any thread count. These tests pin that down by
 /// running each path at num_threads ∈ {1, 2, 7, hardware} and comparing
 /// selections, scores, errors, and bias/variance decompositions with
-/// exact (==) equality against the serial run.
+/// exact (==) equality against the serial run. It also pins that a
+/// running search changes no model trained beside it on another thread.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "common/rng.h"
+#include "datasets/registry.h"
 #include "fs/exhaustive_search.h"
 #include "fs/filters.h"
 #include "fs/greedy_search.h"
 #include "fs/runner.h"
+#include "ml/decision_tree.h"
+#include "ml/gbt.h"
 #include "ml/naive_bayes.h"
 #include "sim/monte_carlo.h"
 
@@ -201,6 +210,103 @@ TEST(DeterminismTest, MonteCarloSingleRepeatParallelizesInnerLoop) {
     ExpectSameDecomposition(ref.no_join, got.no_join, threads);
     ExpectSameDecomposition(ref.no_fk, got.no_fk, threads);
   }
+}
+
+// --- A search never reaches models it did not train. ----------------------
+
+void ExpectSameTree(const DecisionTreeParams& got,
+                    const DecisionTreeParams& want) {
+  EXPECT_EQ(got.alpha, want.alpha);
+  EXPECT_EQ(got.num_classes, want.num_classes);
+  EXPECT_EQ(got.features, want.features);
+  EXPECT_EQ(got.cardinalities, want.cardinalities);
+  EXPECT_EQ(got.split_slot, want.split_slot);
+  EXPECT_EQ(got.split_code, want.split_code);
+  EXPECT_EQ(got.left, want.left);
+  EXPECT_EQ(got.right, want.right);
+  EXPECT_EQ(got.scores, want.scores);
+}
+
+void ExpectSameEnsemble(const GbtParams& got, const GbtParams& want) {
+  EXPECT_EQ(got.learning_rate, want.learning_rate);
+  EXPECT_EQ(got.lambda, want.lambda);
+  EXPECT_EQ(got.num_classes, want.num_classes);
+  EXPECT_EQ(got.features, want.features);
+  EXPECT_EQ(got.cardinalities, want.cardinalities);
+  EXPECT_EQ(got.base_scores, want.base_scores);
+  ASSERT_EQ(got.trees.size(), want.trees.size());
+  for (size_t m = 0; m < want.trees.size(); ++m) {
+    EXPECT_EQ(got.trees[m].split_slot, want.trees[m].split_slot) << m;
+    EXPECT_EQ(got.trees[m].split_code, want.trees[m].split_code) << m;
+    EXPECT_EQ(got.trees[m].left, want.trees[m].left) << m;
+    EXPECT_EQ(got.trees[m].right, want.trees[m].right) << m;
+    EXPECT_EQ(got.trees[m].value, want.trees[m].value) << m;
+  }
+}
+
+// A tree forward selection is held inside its first step, where its
+// candidate models train at the cheap refit budget, while this thread
+// trains a default DecisionTree and a default Gbt. Both must equal the
+// same fits trained with no search running: the budget belongs to the
+// candidate models, so no other model can see it.
+TEST(RefitBudgetDeterminismTest, ConcurrentFitsIgnoreARunningSearch) {
+  NormalizedDataset dataset = *MakeDataset("Walmart", 0.02, 81);
+  std::vector<std::string> fks;
+  for (const auto& fk : dataset.foreign_keys()) fks.push_back(fk.fk_column);
+  const EncodedDataset data =
+      *EncodedDataset::FromTableAuto(*dataset.JoinSubset(fks));
+  Rng rng(82);
+  const HoldoutSplit split = MakeHoldoutSplit(data.num_rows(), rng);
+  const std::vector<uint32_t> features = data.AllFeatureIndices();
+
+  // The selector probes its factory once and trains the empty-subset
+  // baseline before step 1, so the third model is step 1's first
+  // candidate; that call blocks until this thread is done.
+  const ClassifierFactory trees = MakeDecisionTreeFactory();
+  std::atomic<int> calls{0};
+  std::promise<void> held;
+  std::future<void> held_future = held.get_future();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  const ClassifierFactory gated = [&] {
+    if (calls.fetch_add(1) == 2) {
+      held.set_value();
+      released.wait();
+    }
+    return trees();
+  };
+  ForwardSelection forward;
+  forward.set_num_threads(1);
+  Status search_status;
+  std::thread searcher([&] {
+    search_status = forward
+                        .Select(data, split, gated, ErrorMetric::kZeroOne,
+                                features)
+                        .status();
+  });
+
+  const bool reached = held_future.wait_for(std::chrono::seconds(120)) ==
+                       std::future_status::ready;
+  DecisionTree tree_during;
+  Gbt gbt_during;
+  Status tree_status, gbt_status;
+  if (reached) {
+    tree_status = tree_during.Train(data, split.train, features);
+    gbt_status = gbt_during.Train(data, split.train, features);
+  }
+  release.set_value();
+  searcher.join();
+  ASSERT_TRUE(reached) << "the search never reached its first step";
+  ASSERT_TRUE(search_status.ok()) << search_status;
+  ASSERT_TRUE(tree_status.ok()) << tree_status;
+  ASSERT_TRUE(gbt_status.ok()) << gbt_status;
+
+  DecisionTree tree_alone;
+  ASSERT_TRUE(tree_alone.Train(data, split.train, features).ok());
+  Gbt gbt_alone;
+  ASSERT_TRUE(gbt_alone.Train(data, split.train, features).ok());
+  ExpectSameTree(tree_during.ExportParams(), tree_alone.ExportParams());
+  ExpectSameEnsemble(gbt_during.ExportParams(), gbt_alone.ExportParams());
 }
 
 }  // namespace

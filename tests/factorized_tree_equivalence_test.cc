@@ -213,10 +213,11 @@ double ReferenceGini(const std::vector<uint64_t>& counts, uint64_t total) {
 DecisionTreeParams ReferenceCart(const EncodedDataset& data,
                                  const std::vector<uint32_t>& rows,
                                  const std::vector<uint32_t>& features,
-                                 const DecisionTreeOptions& options) {
+                                 const DecisionTreeOptions& options,
+                                 bool refit_budget) {
   const uint32_t num_classes = data.num_classes();
   uint32_t max_depth = options.max_depth;
-  if (ScopedTreeRefitBudget::Active()) {
+  if (refit_budget) {
     max_depth = std::min(max_depth, options.candidate_max_depth);
   }
   DecisionTreeParams p;
@@ -365,17 +366,17 @@ TEST(FactorizedTreeTest, SharedTrainerMatchesReferenceCart) {
         for (const auto& [rows_name, rows] : row_sets) {
           SCOPED_TRACE(t.name + " depth " + std::to_string(max_depth) +
                        (budget ? " budget " : " full ") + rows_name);
-          ScopedTreeRefitBudget scope(budget);
           DecisionTreeOptions options;
           options.max_depth = max_depth;
           options.num_threads = 2;
           const DecisionTreeParams ref =
-              ReferenceCart(*t.mat, *rows, features, options);
+              ReferenceCart(*t.mat, *rows, features, options, budget);
           const std::vector<uint32_t> ref_pred =
               ReferencePredict(ref, *t.mat, t.split.test);
 
           SuffStatsCache::Global().Clear();
           DecisionTree mat_tree(options);
+          if (budget) mat_tree.UseRefitBudget();
           ASSERT_TRUE(mat_tree.Train(*t.mat, *rows, features).ok());
           ExpectTreeParamsBitIdentical(mat_tree.ExportParams(), ref,
                                        "materialized");
@@ -383,6 +384,7 @@ TEST(FactorizedTreeTest, SharedTrainerMatchesReferenceCart) {
 
           SuffStatsCache::Global().Clear();
           DecisionTree fac_tree(options);
+          if (budget) fac_tree.UseRefitBudget();
           ASSERT_TRUE(fac_tree.TrainFactorized(t.fac, *rows, features).ok());
           ExpectTreeParamsBitIdentical(fac_tree.ExportParams(), ref,
                                        "factorized");
@@ -501,8 +503,9 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
   EXPECT_EQ(fac->holdout_test_error, mat->holdout_test_error);
 
   // The final fits themselves: retrain both views on the selected subset
-  // and require bit identity (the runner's fits ran outside the refit
-  // budget, so these full-depth twins are what it reported on).
+  // and require bit identity (the runner's final fits are fresh models
+  // with no refit budget, so these full-depth twins are what it reported
+  // on).
   DecisionTreeOptions options;
   options.num_threads = 2;
   DecisionTree from_mat(options), from_fac(options);

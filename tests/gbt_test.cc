@@ -116,16 +116,16 @@ TEST(GbtTest, RefitBudgetCapsRoundsWhileActive) {
   ASSERT_TRUE(full.Train(d, rows, {0, 1}).ok());
   EXPECT_EQ(full.num_trees(), 10u * 3u);
 
-  {
-    ScopedTreeRefitBudget budget;
-    Gbt capped(options);
-    ASSERT_TRUE(capped.Train(d, rows, {0, 1}).ok());
-    EXPECT_EQ(capped.num_trees(), 2u * 3u);
-  }
+  // The budget belongs to the ensemble it is called on; a second
+  // ensemble trained afterwards gets the full rounds.
+  Gbt capped(options);
+  capped.UseRefitBudget();
+  ASSERT_TRUE(capped.Train(d, rows, {0, 1}).ok());
+  EXPECT_EQ(capped.num_trees(), 2u * 3u);
 
-  Gbt after(options);
-  ASSERT_TRUE(after.Train(d, rows, {0, 1}).ok());
-  EXPECT_EQ(after.num_trees(), 10u * 3u);
+  Gbt other(options);
+  ASSERT_TRUE(other.Train(d, rows, {0, 1}).ok());
+  EXPECT_EQ(other.num_trees(), 10u * 3u);
 }
 
 TEST(GbtTest, LogScoresIntoMatchesPredictOne) {
