@@ -801,8 +801,7 @@ struct ServeBenchState {
   SimDraw draw;
   NaiveBayes model{1.0};
   std::unique_ptr<serve::ArtifactStore> store;
-  std::unique_ptr<serve::HamletService> batched;
-  std::unique_ptr<serve::HamletService> unbatched;
+  std::unique_ptr<serve::HamletService> service;
   std::vector<serve::ScoreRequest> requests;  // 16 blocks x 256 rows.
 
   static ServeBenchState& Get() {
@@ -827,12 +826,8 @@ struct ServeBenchState {
       std::filesystem::remove_all(root);
       s->store = std::make_unique<serve::ArtifactStore>(root);
       if (!s->store->PutNaiveBayes("m", s->model).ok()) std::abort();
-      serve::ServiceOptions on;
-      s->batched = std::make_unique<serve::HamletService>(s->store.get(), on);
-      serve::ServiceOptions off;
-      off.batch_scoring = false;
-      s->unbatched =
-          std::make_unique<serve::HamletService>(s->store.get(), off);
+      s->service = std::make_unique<serve::HamletService>(
+          s->store.get(), serve::ServiceOptions());
       Rng block_rng(12);
       for (int b = 0; b < 16; ++b) {
         std::vector<uint32_t> sample(256);
@@ -891,7 +886,7 @@ void BM_ServeScoreBatched(benchmark::State& state) {
   auto& s = ServeBenchState::Get();
   uint64_t rows = 0;
   for (auto _ : state) {
-    auto responses = s.batched->ScoreBatchDirect(s.requests);
+    auto responses = s.service->ScoreBatchDirect(s.requests);
     if (!responses.ok()) std::abort();
     rows = 0;
     for (const auto& r : *responses) rows += r.predictions.size();
@@ -910,7 +905,7 @@ void BM_ServeScoreUnbatched(benchmark::State& state) {
     rows = 0;
     for (const auto& req : s.requests) {
       one[0] = req;
-      auto responses = s.unbatched->ScoreBatchDirect(one);
+      auto responses = s.service->ScoreBatchDirect(one);
       if (!responses.ok()) std::abort();
       rows += (*responses)[0].predictions.size();
       benchmark::DoNotOptimize(responses->data());

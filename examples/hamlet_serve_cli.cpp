@@ -12,12 +12,11 @@
 /// histograms) and the explain-style stage tree.
 ///
 /// Run: ./hamlet_serve_cli [clients] [requests_per_client] [seed]
-///          [--metrics-jsonl=PATH] [--prom=PATH]
+///          [--metrics-jsonl=PATH]
 ///
 /// --metrics-jsonl appends a structured snapshot line (obs/exporter.h)
-/// at the end of the run; --prom dumps the same snapshot in Prometheus
-/// text exposition format. The HAMLET_METRICS_JSONL environment
-/// variable supplies the JSONL path as well (the flag wins).
+/// at the end of the run. The HAMLET_METRICS_JSONL environment variable
+/// supplies the path as well (the flag wins).
 ///
 /// --load-test switches to the closed-loop load harness for the sharded
 /// data plane (serve/load_gen.h): it drives Score-only traffic for a
@@ -27,6 +26,7 @@
 /// --models=N, --versions=N (published history depth per model),
 /// --shards=N (0 = auto), --shed (load-shedding admission
 /// instead of blocking), --deadline-us=N (per-request deadline).
+/// Any other `--` argument is rejected (exit 1).
 
 #include <algorithm>
 #include <chrono>
@@ -34,7 +34,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -99,7 +98,7 @@ void PrintDigest(const char* label, const LatencyDigest& d) {
 int main(int argc, char** argv) {
   // Flags may appear anywhere; bare numbers fill the positional
   // [clients] [requests_per_client] [seed] slots in order.
-  std::string metrics_jsonl_path, prom_path;
+  std::string metrics_jsonl_path;
   if (const char* env = std::getenv("HAMLET_METRICS_JSONL")) {
     metrics_jsonl_path = env;
   }
@@ -112,8 +111,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--metrics-jsonl=", 16) == 0) {
       metrics_jsonl_path = argv[i] + 16;
-    } else if (std::strncmp(argv[i], "--prom=", 7) == 0) {
-      prom_path = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--load-test") == 0) {
       load_test = true;
     } else if (std::strcmp(argv[i], "--shed") == 0) {
@@ -136,6 +133,10 @@ int main(int argc, char** argv) {
           static_cast<uint32_t>(std::strtoul(argv[i] + 9, nullptr, 10));
     } else if (std::strncmp(argv[i], "--deadline-us=", 14) == 0) {
       load_deadline_us = std::strtoull(argv[i] + 14, nullptr, 10);
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // Read as a positional number it would silently become 0.
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return 1;
     } else {
       positional.push_back(argv[i]);
     }
@@ -350,25 +351,15 @@ int main(int argc, char** argv) {
   if (!metrics_jsonl_path.empty()) {
     const obs::TraceSummary summary =
         obs::SummarizeTrace(obs::Tracer::Global().Collect(), metrics);
-    const obs::CostProfile costs = obs::CostProfileStore::Global().Snapshot();
     obs::JsonlExporter exporter;
     auto st = exporter.Open(metrics_jsonl_path);
-    if (st.ok()) st = exporter.Flush(metrics, &summary, &costs);
+    if (st.ok()) st = exporter.Flush(metrics, &summary);
     if (!st.ok()) {
       std::fprintf(stderr, "metrics export failed: %s\n",
                    st.ToString().c_str());
     } else {
       std::printf("\nMetrics JSONL written to %s\n",
                   metrics_jsonl_path.c_str());
-    }
-  }
-  if (!prom_path.empty()) {
-    std::ofstream prom(prom_path, std::ios::out | std::ios::trunc);
-    if (prom.is_open()) {
-      obs::DumpPrometheusText(metrics, prom);
-      std::printf("Prometheus text written to %s\n", prom_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot open %s\n", prom_path.c_str());
     }
   }
 

@@ -38,7 +38,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure \
   -R 'ThreadPool|ParallelFor|Determinism|TieBreak|ThreadInvariant|ParallelSearch|Factorized' \
   "$@"
 
-# The observability suite (metrics/trace/exporter/cost-profile tests,
+# The observability suite (metrics/trace/exporter/catalogue tests,
 # label `obs`) under the same TSAN build.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L obs "$@"
 

@@ -1,6 +1,5 @@
 #include "analytics/pipeline.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -14,7 +13,6 @@
 #include "ml/gbt.h"
 #include "ml/naive_bayes.h"
 #include "ml/tan.h"
-#include "obs/cost_profile.h"
 #include "obs/exporter.h"
 
 namespace hamlet {
@@ -81,66 +79,6 @@ std::string PathFromConfigOrEnv(const std::string& config_path,
   return env != nullptr ? std::string(env) : std::string();
 }
 
-/// Coarse per-stage rollup for untraced runs: the same stage names the
-/// span tree would produce, built from the Timer readings RunPipeline
-/// takes anyway, so PipelineReport.trace_summary is never empty.
-obs::TraceSummary CoarseSummary(const PipelineReport& report,
-                                double advise_seconds,
-                                double encode_seconds,
-                                double split_seconds) {
-  obs::TraceSummary summary;
-  const double child_seconds = advise_seconds + report.join_seconds +
-                               report.factorize_seconds + encode_seconds +
-                               split_seconds +
-                               report.selection.total_seconds;
-  const double self_seconds =
-      std::max(0.0, report.total_seconds - child_seconds);
-  summary.stages = {
-      {"pipeline", 0, 1, report.total_seconds, self_seconds, {}},
-      {"pipeline.advise", 1, 1, advise_seconds, advise_seconds, {}}};
-  if (report.factorized) {
-    summary.stages.push_back(
-        {"pipeline.factorize",
-         1,
-         1,
-         report.factorize_seconds,
-         report.factorize_seconds,
-         {{"tables", static_cast<int64_t>(report.tables_factorized)},
-          {"features", static_cast<int64_t>(report.features_in)}}});
-  } else {
-    summary.stages.push_back(
-        {"pipeline.join",
-         1,
-         1,
-         report.join_seconds,
-         report.join_seconds,
-         {{"tables", static_cast<int64_t>(report.tables_joined)}}});
-    summary.stages.push_back(
-        {"pipeline.encode",
-         1,
-         1,
-         encode_seconds,
-         encode_seconds,
-         {{"features", static_cast<int64_t>(report.features_in)}}});
-  }
-  const std::vector<obs::StageStat> tail = {
-      {"pipeline.split", 1, 1, split_seconds, split_seconds, {}},
-      {"fs.search",
-       1,
-       1,
-       report.selection.runtime_seconds,
-       report.selection.runtime_seconds,
-       {{"models_trained",
-         static_cast<int64_t>(report.selection.selection.models_trained)}}},
-      {"fs.final_fit", 1, 1, report.selection.fit_seconds,
-       report.selection.fit_seconds, {}}};
-  summary.stages.insert(summary.stages.end(), tail.begin(), tail.end());
-  summary.counters = {
-      {"fs.models_trained", report.selection.selection.models_trained}};
-  summary.total_seconds = report.total_seconds;
-  return summary;
-}
-
 }  // namespace
 
 Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
@@ -154,9 +92,6 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
   report.avoidance_applied = config.enable_join_avoidance;
 
   Timer total_timer;
-  double advise_seconds = 0.0;
-  double encode_seconds = 0.0;
-  double split_seconds = 0.0;
   {
     obs::TraceSpan pipeline_span("pipeline");
     if (pipeline_span.active()) {
@@ -171,10 +106,8 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
     //    the optimizer *would* have done).
     {
       obs::TraceSpan span("pipeline.advise");
-      Timer timer;
       HAMLET_ASSIGN_OR_RETURN(report.plan,
                               AdviseJoins(dataset, config.advisor));
-      advise_seconds = timer.ElapsedSeconds();
       if (span.active()) {
         span.AddAttr("fks_joined",
                      static_cast<uint64_t>(report.plan.fks_to_join.size()));
@@ -233,10 +166,8 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
       HoldoutSplit split;
       {
         obs::TraceSpan span("pipeline.split");
-        Timer timer;
         Rng rng(config.seed);
         split = MakeHoldoutSplit(data.num_rows(), rng, config.split);
-        split_seconds = timer.ElapsedSeconds();
         if (span.active()) {
           span.AddAttr("train", static_cast<uint64_t>(split.train.size()));
           span.AddAttr("validation",
@@ -268,11 +199,9 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
       std::unique_ptr<EncodedDataset> data;
       {
         obs::TraceSpan span("pipeline.encode");
-        Timer timer;
         HAMLET_ASSIGN_OR_RETURN(EncodedDataset encoded,
                                 EncodedDataset::FromTableAuto(table));
         data = std::make_unique<EncodedDataset>(std::move(encoded));
-        encode_seconds = timer.ElapsedSeconds();
         report.features_in = data->num_features();
         if (span.active()) {
           span.AddAttr("features", report.features_in);
@@ -281,10 +210,8 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
       }
       {
         obs::TraceSpan span("pipeline.split");
-        Timer timer;
         Rng rng(config.seed);
         split = MakeHoldoutSplit(data->num_rows(), rng, config.split);
-        split_seconds = timer.ElapsedSeconds();
         if (span.active()) {
           span.AddAttr("train", static_cast<uint64_t>(split.train.size()));
           span.AddAttr("validation",
@@ -310,26 +237,19 @@ Result<PipelineReport> RunPipeline(const NormalizedDataset& dataset,
     report.trace_summary = obs::SummarizeTrace(report.trace, snapshot);
 
     // Structured export: one JSONL line per traced run, carrying the
-    // metrics, the stage tree and the run's operator cost records.
+    // metrics and the stage tree.
     // Export failures are reported, not fatal — a read-only artifacts/
     // directory must not fail the analysis itself.
     const std::string jsonl_path = PathFromConfigOrEnv(
         config.metrics_jsonl_path, "HAMLET_METRICS_JSONL");
     if (!jsonl_path.empty()) {
-      const obs::CostProfile costs =
-          obs::CostProfileStore::Global().Snapshot();
       obs::JsonlExporter exporter;
       Status st = exporter.Open(jsonl_path);
-      if (st.ok()) {
-        st = exporter.Flush(snapshot, &report.trace_summary, &costs);
-      }
+      if (st.ok()) st = exporter.Flush(snapshot, &report.trace_summary);
       if (!st.ok()) {
         std::cerr << "hamlet: metrics export failed: " << st << "\n";
       }
     }
-  } else {
-    report.trace_summary =
-        CoarseSummary(report, advise_seconds, encode_seconds, split_seconds);
   }
   return report;
 }

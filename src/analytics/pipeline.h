@@ -93,9 +93,9 @@ struct PipelineConfig {
   bool avoid_materialization = false;
   /// When non-empty (and the run is traced), write one structured
   /// metrics snapshot line to this JSONL file at the end of the run
-  /// (obs/exporter.h), carrying the run's operator cost records
-  /// (obs/cost_profile.h) as well. The HAMLET_METRICS_JSONL environment
-  /// variable supplies a path as well; an explicit config value wins.
+  /// (obs/exporter.h): the metrics plus the run's stage digest. The
+  /// HAMLET_METRICS_JSONL environment variable supplies a path as well;
+  /// an explicit config value wins.
   std::string metrics_jsonl_path;
 };
 
@@ -116,8 +116,7 @@ struct PipelineReport {
 
   /// Raw span events (empty unless the run was traced).
   obs::Trace trace;
-  /// Stage-level timing rollup. Always populated: from the span tree when
-  /// the run was traced, from coarse per-stage timers otherwise.
+  /// Stage-level digest of `trace` (empty unless the run was traced).
   obs::TraceSummary trace_summary;
 
   /// A one-paragraph analyst-facing summary.

@@ -4,48 +4,15 @@
 #include "fs/candidate_eval.h"
 #include "fs/filters.h"
 #include "fs/greedy_search.h"
-#include "ml/decision_tree.h"
 #include "ml/eval.h"
 #include "ml/factorized.h"
-#include "ml/gbt.h"
 #include "ml/naive_bayes.h"
-#include "obs/cost_profile.h"
 #include "obs/trace.h"
 #include "stats/metrics.h"
 
 namespace hamlet {
 
 namespace {
-
-// Reports one finished search to the operator cost profile. `op`
-// distinguishes the materialized and factorized paths — their relative
-// cost at matched features is exactly the join-or-avoid trade-off a
-// cost model would learn. build_rows carries the candidate count (the
-// search's work-list width); models_trained lands in rows_out since a
-// search "produces" trained models, not rows.
-void RecordSearchCost(const char* op, uint32_t data_rows,
-                      uint64_t models_trained, size_t candidates,
-                      uint32_t num_threads, double search_seconds) {
-  if (!obs::Enabled()) return;
-  obs::OperatorFeatures features;
-  features.op = op;
-  features.rows_in = data_rows;
-  features.rows_out = models_trained;
-  features.build_rows = candidates;
-  features.num_threads = num_threads;
-  obs::CostObservation cost;
-  cost.total_ns = static_cast<uint64_t>(search_seconds * 1e9);
-  obs::CostProfileStore::Global().Record(features, cost);
-}
-
-// Tree-model searches retrain histogram trees/ensembles per candidate —
-// a different cost regime from the NB statistics fast path — so they get
-// their own operator key in the cost profile.
-bool FactoryMakesTreeModel(const ClassifierFactory& factory) {
-  std::unique_ptr<Classifier> probe = factory();
-  return dynamic_cast<DecisionTree*>(probe.get()) != nullptr ||
-         dynamic_cast<Gbt*>(probe.get()) != nullptr;
-}
 
 // The final fit over the factorized view never materializes the join.
 // With a Naive Bayes factory it trains straight from the factorized
@@ -84,14 +51,11 @@ Result<double> FactorizedFinalFit(const FactorizedDataset& data,
 }
 
 // The body both runners share: the timed, traced search, then the final
-// fit on the chosen subset, then the stage summary. `search_op` is the
-// cost-profile key of a Naive Bayes search over this view.
+// fit on the chosen subset.
 template <typename Data, typename Search, typename FinalFit>
 Result<FsRunReport> RunSearchThenFit(FeatureSelector& selector,
                                      const Data& data,
-                                     const ClassifierFactory& factory,
                                      const std::vector<uint32_t>& candidates,
-                                     const char* search_op,
                                      const Search& search,
                                      const FinalFit& final_fit) {
   FsRunReport report;
@@ -108,10 +72,6 @@ Result<FsRunReport> RunSearchThenFit(FeatureSelector& selector,
     span.AddAttr("models_trained", report.selection.models_trained);
     span.AddAttr("selected",
                  static_cast<uint64_t>(report.selection.selected.size()));
-    RecordSearchCost(
-        FactoryMakesTreeModel(factory) ? "fs.search.tree" : search_op,
-        data.num_rows(), report.selection.models_trained, candidates.size(),
-        selector.num_threads(), report.runtime_seconds);
   }
 
   report.selected_names = data.FeatureNames(report.selection.selected);
@@ -125,17 +85,6 @@ Result<FsRunReport> RunSearchThenFit(FeatureSelector& selector,
     report.fit_seconds = timer.ElapsedSeconds();
   }
   report.total_seconds = total_timer.ElapsedSeconds();
-
-  // The same decomposition the spans record, embedded so every consumer
-  // (traced or not) sees where the run's time went.
-  report.trace_summary.stages = {
-      {"fs.search", 0, 1, report.runtime_seconds, report.runtime_seconds,
-       {{"models_trained",
-         static_cast<int64_t>(report.selection.models_trained)}}},
-      {"fs.final_fit", 0, 1, report.fit_seconds, report.fit_seconds, {}}};
-  report.trace_summary.counters = {
-      {"fs.models_trained", report.selection.models_trained}};
-  report.trace_summary.total_seconds = report.total_seconds;
   return report;
 }
 
@@ -192,7 +141,7 @@ Result<FsRunReport> RunFeatureSelection(
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates) {
   return RunSearchThenFit(
-      selector, data, factory, candidates, "fs.search.materialized",
+      selector, data, candidates,
       [&] { return selector.Select(data, split, factory, metric, candidates); },
       [&](const std::vector<uint32_t>& selected) {
         return TrainAndScore(factory, data, split.train, split.test, selected,
@@ -205,7 +154,7 @@ Result<FsRunReport> RunFeatureSelectionFactorized(
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates) {
   return RunSearchThenFit(
-      selector, data, factory, candidates, "fs.search.factorized",
+      selector, data, candidates,
       [&] {
         return selector.SelectFactorized(data, split, factory, metric,
                                          candidates);

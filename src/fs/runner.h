@@ -11,7 +11,6 @@
 #include <string>
 
 #include "fs/feature_selector.h"
-#include "obs/report.h"
 
 namespace hamlet {
 
@@ -52,9 +51,6 @@ struct FsRunReport {
   double runtime_seconds = 0.0;  ///< Search time only.
   double fit_seconds = 0.0;      ///< Final fit + holdout scoring.
   double total_seconds = 0.0;    ///< Search + final fit wall clock.
-  /// Per-stage seconds (fs.search, fs.final_fit) + the models-trained
-  /// counter, sourced from the same spans tracing records.
-  obs::TraceSummary trace_summary;
 };
 
 /// Runs `selector` over `candidates`, then fits the chosen subset on

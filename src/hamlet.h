@@ -13,8 +13,7 @@
 
 // Observability (tracing, metrics, explain-style run reports).
 #include "common/json_writer.h"        // Hand-rolled JSON serializer.
-#include "obs/cost_profile.h"          // Write-only operator cost records.
-#include "obs/exporter.h"              // JSONL + Prometheus export.
+#include "obs/exporter.h"              // JSONL metrics export.
 #include "obs/metrics.h"               // Counters + latency histograms.
 #include "obs/report.h"                // Explain tree + Chrome JSON.
 #include "obs/trace.h"                 // RAII spans + collection switch.

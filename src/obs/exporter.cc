@@ -7,15 +7,6 @@ namespace hamlet::obs {
 
 namespace {
 
-/// Prometheus metric name: hamlet_ prefix, dots to underscores (every
-/// hamlet metric name is already [a-z0-9._]-safe).
-std::string PromName(const std::string& name) {
-  std::string out = "hamlet_";
-  out.reserve(out.size() + name.size());
-  for (const char c : name) out.push_back(c == '.' ? '_' : c);
-  return out;
-}
-
 void WriteHistogramJson(JsonWriter& w, const HistogramSnapshot& h) {
   w.BeginObject();
   w.Key("count");
@@ -44,44 +35,11 @@ void WriteHistogramJson(JsonWriter& w, const HistogramSnapshot& h) {
   w.EndObject();
 }
 
-void WriteCostRecordJson(JsonWriter& w, const CostRecord& r) {
-  w.BeginObject();
-  w.Key("op");
-  w.String(r.features.op);
-  w.Key("rows_in");
-  w.UInt(r.features.rows_in);
-  w.Key("rows_out");
-  w.UInt(r.features.rows_out);
-  w.Key("build_rows");
-  w.UInt(r.features.build_rows);
-  w.Key("distinct_keys");
-  w.UInt(r.features.distinct_keys);
-  w.Key("num_threads");
-  w.UInt(r.features.num_threads);
-  w.Key("shards");
-  w.UInt(r.features.shards);
-  w.Key("observations");
-  w.UInt(r.observations);
-  w.Key("total_ns_sum");
-  w.UInt(r.total_ns_sum);
-  w.Key("total_ns_min");
-  w.UInt(r.total_ns_min);
-  w.Key("total_ns_max");
-  w.UInt(r.total_ns_max);
-  w.Key("build_ns_sum");
-  w.UInt(r.build_ns_sum);
-  w.Key("probe_ns_sum");
-  w.UInt(r.probe_ns_sum);
-  w.Key("materialize_ns_sum");
-  w.UInt(r.materialize_ns_sum);
-  w.EndObject();
-}
-
 }  // namespace
 
 void WriteSnapshotJsonl(const MetricsSnapshot& snapshot,
                         const TraceSummary* summary, uint64_t seq,
-                        std::ostream& os, const CostProfile* costs) {
+                        std::ostream& os) {
   JsonWriter w(os);
   w.BeginObject();
   w.Key("seq");
@@ -128,54 +86,8 @@ void WriteSnapshotJsonl(const MetricsSnapshot& snapshot,
     }
     w.EndArray();
   }
-  if (costs != nullptr) {
-    w.Key("cost_records");
-    w.BeginArray();
-    for (const auto& [key, record] : costs->records()) {
-      WriteCostRecordJson(w, record);
-    }
-    w.EndArray();
-  }
   w.EndObject();
   os << '\n';
-}
-
-void DumpPrometheusText(const MetricsSnapshot& snapshot, std::ostream& os) {
-  for (const CounterSnapshot& c : snapshot.counters) {
-    const std::string name = PromName(c.name);
-    os << "# TYPE " << name << " counter\n";
-    os << name << " " << c.value << "\n";
-  }
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    // Histogram names end in _ns by convention; the exposition keeps
-    // nanosecond units explicit rather than rescaling to seconds.
-    const std::string name = PromName(h.name);
-    os << "# TYPE " << name << " histogram\n";
-    // Sparse cumulative buckets: emit an le edge only where the
-    // cumulative count changes (plus the mandatory +Inf), otherwise the
-    // 1408-bucket layout would dump 1408 lines per histogram.
-    uint64_t cumulative = 0;
-    for (uint32_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] == 0) continue;
-      cumulative += h.buckets[b];
-      const uint64_t upper = Histogram::BucketUpperBound(b);
-      os << name << "_bucket{le=\"";
-      if (upper == UINT64_MAX) {
-        os << "+Inf";
-      } else {
-        // The bucket holds [lower, upper); the largest contained
-        // integer value is upper - 1, which is the le edge.
-        os << upper - 1;
-      }
-      os << "\"} " << cumulative << "\n";
-    }
-    if (h.buckets.empty() || cumulative == 0 ||
-        h.buckets.back() == 0) {
-      os << name << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-    }
-    os << name << "_sum " << h.sum_nanos << "\n";
-    os << name << "_count " << h.count << "\n";
-  }
 }
 
 Status JsonlExporter::Open(const std::string& path) {
@@ -195,10 +107,9 @@ Status JsonlExporter::Open(const std::string& path) {
 }
 
 Status JsonlExporter::Flush(const MetricsSnapshot& snapshot,
-                            const TraceSummary* summary,
-                            const CostProfile* costs) {
+                            const TraceSummary* summary) {
   if (!out_.is_open()) return Status::OK();
-  WriteSnapshotJsonl(snapshot, summary, seq_, out_, costs);
+  WriteSnapshotJsonl(snapshot, summary, seq_, out_);
   out_.flush();
   if (!out_.good()) {
     return Status::IOError(

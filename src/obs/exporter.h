@@ -4,31 +4,22 @@
 /// \file exporter.h
 /// Structured metric export: turns a MetricsSnapshot (plus, optionally,
 /// a TraceSummary) into machine-readable text so runs can be scraped and
-/// diffed instead of eyeballed.
+/// diffed instead of eyeballed. JSONL is the one machine format.
 ///
-/// Two formats:
+/// WriteSnapshotJsonl emits ONE JSON object per call, on one line — a
+/// flush. A JsonlExporter appends successive flushes to a stream/file,
+/// stamping each with a monotonically increasing `seq`, so a
+/// long-running process (the serving loop, the pipeline runner)
+/// produces an append-only log whose consecutive lines are directly
+/// diffable: every counter and histogram count is cumulative, so line
+/// N+1 minus line N is the activity of that window. Histogram buckets
+/// are emitted sparsely (index/count pairs for non-empty buckets only —
+/// the log-linear layout has 1408 buckets, almost all empty) along with
+/// precomputed p50/p90/p99. A flush may also carry a trace digest as a
+/// `stages` array: per-stage counts, seconds and summed numeric span
+/// attributes.
 ///
-///  - JSONL: WriteSnapshotJsonl emits ONE JSON object per call, on one
-///    line — a flush. A JsonlExporter appends successive flushes to a
-///    stream/file, stamping each with a monotonically increasing `seq`,
-///    so a long-running process (the serving loop, the pipeline runner)
-///    produces an append-only log whose consecutive lines are directly
-///    diffable: every counter and histogram count is cumulative, so
-///    line N+1 minus line N is the activity of that window. Histogram
-///    buckets are emitted sparsely (index/count pairs for non-empty
-///    buckets only — the log-linear layout has 1408 buckets, almost all
-///    empty) along with precomputed p50/p90/p99. A flush may also carry
-///    the window's operator cost records (obs/cost_profile.h) as a
-///    `cost_records` array: the only place those records leave the
-///    process.
-///
-///  - Prometheus text exposition: DumpPrometheusText renders the same
-///    snapshot as `# TYPE`-annotated counter and histogram families
-///    (cumulative `le` buckets, `_sum`, `_count`), names prefixed
-///    `hamlet_` with dots mapped to underscores, for anything that
-///    speaks the scrape format.
-///
-/// Both renderings are deterministic for a given snapshot: metrics are
+/// The rendering is deterministic for a given snapshot: metrics are
 /// emitted in sorted-name order and derived numbers are integers.
 
 #include <cstdint>
@@ -37,24 +28,17 @@
 #include <string>
 
 #include "common/status.h"
-#include "obs/cost_profile.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 
 namespace hamlet::obs {
 
 /// Writes one snapshot as a single '\n'-terminated JSONL line.
-/// `summary` adds a "stages" array (depth-first) when non-null; `costs`
-/// adds a "cost_records" array (one object per record, in key order)
-/// when non-null; `seq` stamps the line.
+/// `summary` adds a "stages" array (depth-first) when non-null; `seq`
+/// stamps the line.
 void WriteSnapshotJsonl(const MetricsSnapshot& snapshot,
                         const TraceSummary* summary, uint64_t seq,
-                        std::ostream& os,
-                        const CostProfile* costs = nullptr);
-
-/// Renders a snapshot in the Prometheus text exposition format (see
-/// \file block for the naming/bucket mapping).
-void DumpPrometheusText(const MetricsSnapshot& snapshot, std::ostream& os);
+                        std::ostream& os);
 
 /// Append-only JSONL metrics log: each Flush() writes one line with the
 /// next sequence number. Open() truncates the target: a flush sequence
@@ -77,8 +61,7 @@ class JsonlExporter {
   /// crash. No-op (ok) when not open, so callers can flush
   /// unconditionally behind a config flag.
   Status Flush(const MetricsSnapshot& snapshot,
-               const TraceSummary* summary = nullptr,
-               const CostProfile* costs = nullptr);
+               const TraceSummary* summary = nullptr);
 
  private:
   std::ofstream out_;

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 
 #include "common/json_writer.h"
@@ -107,25 +106,6 @@ double TraceSummary::StageSeconds(const std::string& name) const {
     if (stage.name == name) return stage.total_seconds;
   }
   return 0.0;
-}
-
-std::string TraceSummary::ToString() const {
-  std::ostringstream oss;
-  for (const StageStat& stage : stages) {
-    oss << StringFormat(
-        "%*s%-*s x%-6llu %9.4fs self %9.4fs", stage.depth * 2, "",
-        std::max(1, 28 - static_cast<int>(stage.depth) * 2),
-        stage.name.c_str(), static_cast<unsigned long long>(stage.count),
-        stage.total_seconds, stage.self_seconds);
-    const std::string attrs = AttrsToString(stage.numeric_attrs);
-    if (!attrs.empty()) oss << "  [" << attrs << "]";
-    oss << "\n";
-  }
-  for (const CounterSnapshot& counter : counters) {
-    oss << StringFormat("%-34s %llu\n", counter.name.c_str(),
-                        static_cast<unsigned long long>(counter.value));
-  }
-  return oss.str();
 }
 
 TraceSummary SummarizeTrace(const Trace& trace) {

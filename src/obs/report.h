@@ -34,9 +34,9 @@ struct StageStat {
   std::vector<std::pair<std::string, int64_t>> numeric_attrs;
 };
 
-/// Per-stage seconds + counters: the trace digest that PipelineReport
-/// and FsRunReport carry so callers can see where a run's time went
-/// without holding the raw trace.
+/// Per-stage seconds + counters: the digest of a collected trace that a
+/// traced PipelineReport carries and the JSONL export writes as its
+/// `stages` array.
 struct TraceSummary {
   std::vector<StageStat> stages;  ///< Depth-first (tree) order.
   std::vector<CounterSnapshot> counters;
@@ -44,9 +44,6 @@ struct TraceSummary {
 
   /// Seconds of the first stage with this name (0 when absent).
   double StageSeconds(const std::string& name) const;
-
-  /// Compact per-stage dump (explain tree without the table chrome).
-  std::string ToString() const;
 };
 
 /// Aggregates a collected trace into the stage tree (no counters).

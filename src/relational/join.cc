@@ -6,19 +6,11 @@
 #include "common/parallel_for.h"
 #include "common/thread_pool.h"
 #include "common/string_util.h"
-#include "obs/cost_profile.h"
 #include "obs/trace.h"
 
 namespace hamlet {
 
 namespace {
-
-// Shards a join actually runs with (0 = pool default), recorded as a
-// cost-record feature so timings pair with the real parallelism.
-uint32_t ResolvedThreads(uint32_t num_threads) {
-  return num_threads == 0 ? ThreadPool::Global().DefaultShards()
-                          : num_threads;
-}
 
 obs::Counter& RowsBuiltCounter() {
   static obs::Counter& counter =
@@ -155,14 +147,6 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   RowsBuiltCounter().Add(r.num_rows());
   RowsProbedCounter().Add(s.num_rows());
 
-  // Phase timings feed both the join.*_ns histograms and the operator
-  // cost profile, so they are read explicitly rather than via
-  // ScopedLatency (the profile needs the raw numbers).
-  const bool collect = obs::Enabled();
-  uint64_t build_ns = 0;
-  uint64_t probe_ns = 0;
-  const uint64_t start_ns = collect ? obs::NowNanos() : 0;
-
   HAMLET_ASSIGN_OR_RETURN(uint32_t fk_idx, s.schema().IndexOf(fk_column));
   const ColumnSpec& fk_spec = s.schema().column(fk_idx);
   if (fk_spec.role != ColumnRole::kForeignKey) {
@@ -176,12 +160,8 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   const Column& rid = r.column(rid_idx);
   std::vector<uint32_t> rid_to_row;
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(BuildLatency());
     HAMLET_ASSIGN_OR_RETURN(rid_to_row, BuildFkRowIndex(fk, rid));
-    if (collect) {
-      build_ns = obs::NowNanos() - t;
-      BuildLatency().RecordAlways(build_ns);
-    }
   }
 
   // Match every S row to its unique R row: a pure per-index gather, so
@@ -190,16 +170,12 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   std::vector<uint32_t> matched(s.num_rows());
   FirstFailure failure;
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(ProbeLatency());
     ParallelFor(s.num_rows(), options.num_threads, [&](uint32_t row) {
       const uint32_t m = rid_to_row[fk.code(row)];
       if (m == kNoFkRow) failure.Report(row);
       matched[row] = m;
     });
-    if (collect) {
-      probe_ns = obs::NowNanos() - t;
-      ProbeLatency().RecordAlways(probe_ns);
-    }
   }
   if (failure.failed()) {
     return Status::InvalidArgument(StringFormat(
@@ -215,7 +191,7 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
   out_cols.reserve(s.num_columns() + r.num_columns() - 1);
   for (uint32_t c = 0; c < s.num_columns(); ++c) out_cols.push_back(s.column(c));
 
-  const uint64_t t_mat = collect ? obs::NowNanos() : 0;
+  obs::ScopedLatency latency(MaterializeLatency());
   for (uint32_t c = 0; c < r.num_columns(); ++c) {
     if (c == rid_idx) continue;  // RID is represented by FK in the output.
     const ColumnSpec& spec = r.schema().column(c);
@@ -227,27 +203,8 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
     out_specs.push_back(spec);
     out_cols.push_back(r.column(c).Gather(matched, options.num_threads));
   }
-
-  Table result(s.name() + "_join_" + r.name(), Schema(std::move(out_specs)),
+  return Table(s.name() + "_join_" + r.name(), Schema(std::move(out_specs)),
                std::move(out_cols));
-  if (collect) {
-    const uint64_t materialize_ns = obs::NowNanos() - t_mat;
-    MaterializeLatency().RecordAlways(materialize_ns);
-    obs::OperatorFeatures features;
-    features.op = "join.kfk";
-    features.rows_in = s.num_rows();
-    features.rows_out = result.num_rows();
-    features.build_rows = r.num_rows();
-    features.distinct_keys = fk.domain_size();
-    features.num_threads = ResolvedThreads(options.num_threads);
-    obs::CostObservation obs_cost;
-    obs_cost.total_ns = obs::NowNanos() - start_ns;
-    obs_cost.build_ns = build_ns;
-    obs_cost.probe_ns = probe_ns;
-    obs_cost.materialize_ns = materialize_ns;
-    obs::CostProfileStore::Global().Record(features, obs_cost);
-  }
-  return result;
 }
 
 Result<Table> HashJoin(const Table& left, const Table& right,
@@ -261,11 +218,6 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   }
   RowsBuiltCounter().Add(right.num_rows());
   RowsProbedCounter().Add(left.num_rows());
-
-  const bool collect = obs::Enabled();
-  uint64_t build_ns = 0;
-  uint64_t probe_ns = 0;
-  const uint64_t start_ns = collect ? obs::NowNanos() : 0;
 
   HAMLET_ASSIGN_OR_RETURN(uint32_t l_idx, left.schema().IndexOf(left_column));
   HAMLET_ASSIGN_OR_RETURN(uint32_t r_idx,
@@ -281,7 +233,7 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   std::vector<uint32_t> offsets(n_buckets + 1, 0);
   std::vector<uint32_t> bucket_rows(right.num_rows());
   {
-    const uint64_t t = collect ? obs::NowNanos() : 0;
+    obs::ScopedLatency latency(BuildLatency());
     for (uint32_t row = 0; row < right.num_rows(); ++row) {
       ++offsets[rcol.code(row) + 1];
     }
@@ -289,10 +241,6 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
     for (uint32_t row = 0; row < right.num_rows(); ++row) {
       bucket_rows[cursor[rcol.code(row)]++] = row;
-    }
-    if (collect) {
-      build_ns = obs::NowNanos() - t;
-      BuildLatency().RecordAlways(build_ns);
     }
   }
 
@@ -304,8 +252,8 @@ Result<Table> HashJoin(const Table& left, const Table& right,
   const DomainRemap remap(lcol.domain(), rcol.domain());
   const uint32_t n_left = left.num_rows();
   std::vector<uint32_t> l_rows, r_rows;
-  const uint64_t t_probe = collect ? obs::NowNanos() : 0;
   {
+    obs::ScopedLatency latency(ProbeLatency());
     std::vector<uint64_t> out_pos(n_left + 1, 0);
     ParallelFor(n_left, options.num_threads, [&](uint32_t row) {
       const uint32_t rc = remap[lcol.code(row)];
@@ -340,16 +288,12 @@ Result<Table> HashJoin(const Table& left, const Table& right,
       }
     });
   }
-  if (collect) {
-    probe_ns = obs::NowNanos() - t_probe;
-    ProbeLatency().RecordAlways(probe_ns);
-  }
   RowsEmittedCounter().Add(l_rows.size());
   if (span.active()) {
     span.AddAttr("rows_emitted", static_cast<uint64_t>(l_rows.size()));
   }
 
-  const uint64_t t_mat = collect ? obs::NowNanos() : 0;
+  obs::ScopedLatency latency(MaterializeLatency());
   std::vector<ColumnSpec> out_specs = left.schema().columns();
   std::vector<Column> out_cols;
   for (uint32_t c = 0; c < left.num_columns(); ++c) {
@@ -365,26 +309,8 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     out_specs.push_back(spec);
     out_cols.push_back(right.column(c).Gather(r_rows, options.num_threads));
   }
-  Table result(left.name() + "_join_" + right.name(),
+  return Table(left.name() + "_join_" + right.name(),
                Schema(std::move(out_specs)), std::move(out_cols));
-  if (collect) {
-    const uint64_t materialize_ns = obs::NowNanos() - t_mat;
-    MaterializeLatency().RecordAlways(materialize_ns);
-    obs::OperatorFeatures features;
-    features.op = "join.hash";
-    features.rows_in = left.num_rows();
-    features.rows_out = result.num_rows();
-    features.build_rows = right.num_rows();
-    features.distinct_keys = rcol.domain_size();
-    features.num_threads = ResolvedThreads(options.num_threads);
-    obs::CostObservation obs_cost;
-    obs_cost.total_ns = obs::NowNanos() - start_ns;
-    obs_cost.build_ns = build_ns;
-    obs_cost.probe_ns = probe_ns;
-    obs_cost.materialize_ns = materialize_ns;
-    obs::CostProfileStore::Global().Record(features, obs_cost);
-  }
-  return result;
 }
 
 }  // namespace hamlet

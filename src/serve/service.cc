@@ -17,7 +17,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "data/splits.h"
-#include "obs/cost_profile.h"
 #include "obs/trace.h"
 
 namespace hamlet::serve {
@@ -245,8 +244,7 @@ struct HamletService::Impl {
       Pending head;
       if (!shard.queue.PopHead(&head)) return;  // Stopped and drained.
       std::vector<Pending> coalesced;
-      if (options.batch_scoring &&
-          std::holds_alternative<ScorePending>(head.op)) {
+      if (std::holds_alternative<ScorePending>(head.op)) {
         // Coalesce queued Score requests for the same (model, version)
         // behind the head into one scoring pass. Requests left behind
         // keep their arrival order. A kLatest request only batches with
@@ -480,21 +478,6 @@ struct HamletService::Impl {
       for (size_t i = 0; i < blocks.size(); ++i) {
         m.score_ns.RecordAlways(elapsed);
       }
-      // Cost profile: one record per pass. rows_out = predictions
-      // written; build_rows = requests coalesced into the pass; shards =
-      // dispatcher shards of the data plane.
-      obs::OperatorFeatures features;
-      features.op = "serve.score";
-      features.rows_in = total_rows;
-      features.rows_out = total_rows;
-      features.build_rows = blocks.size();
-      features.num_threads = options.num_threads == 0
-                                 ? ThreadPool::Global().DefaultShards()
-                                 : options.num_threads;
-      features.shards = options.num_shards;
-      obs::CostObservation cost;
-      cost.total_ns = elapsed;
-      obs::CostProfileStore::Global().Record(features, cost);
     }
     return out;
   }

@@ -62,8 +62,8 @@
 /// histograms (see docs/SERVING.md and docs/OBSERVABILITY.md) when obs
 /// collection is enabled; queue depth/wait, batch sizes, sheds, expired
 /// deadlines and warm-cache hits are measured too, and each scoring
-/// pass reports a `serve.score` cost-profile record carrying the shard
-/// count and fused batch size.
+/// pass opens a `serve.score` span carrying its shard and fused batch
+/// size.
 
 #include <memory>
 #include <string>
@@ -87,11 +87,9 @@ struct ServiceOptions {
   /// Bounded request queue capacity PER SHARD; under kBlock, enqueue
   /// blocks while the target shard holds this many requests.
   size_t queue_capacity = 256;
-  /// Most Score requests coalesced into one scoring pass.
+  /// Most Score requests coalesced into one scoring pass; 1 = one
+  /// scoring pass per request (no micro-batching).
   size_t max_batch = 64;
-  /// Micro-batching switch; off = one scoring pass per request (the
-  /// BM_ServeScoreUnbatched baseline).
-  bool batch_scoring = true;
   /// ParallelFor shards for scoring passes and FS runs (0 = one per
   /// hardware thread, 1 = serial). Results are identical either way.
   uint32_t num_threads = 0;

@@ -40,13 +40,6 @@ obs::MetricsSnapshot MakeSnapshot() {
   return snap;
 }
 
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 TEST(JsonlExportTest, LineIsValidJsonWithTheDocumentedShape) {
   std::ostringstream os;
   obs::WriteSnapshotJsonl(MakeSnapshot(), nullptr, 7, os);
@@ -159,12 +152,12 @@ TEST(JsonlExportTest, ClosedExporterFlushIsANoOp) {
   EXPECT_EQ(exporter.lines_written(), 0u);
 }
 
-TEST(JsonlExportTest, TracedPipelineLineCarriesJoinCostRecords) {
-  // Cost records leave the process only through the JSONL flush: a
-  // traced JoinAll run must write one line whose cost_records hold the
-  // KFK joins it executed.
+TEST(JsonlExportTest, TracedPipelineLineCarriesJoinStages) {
+  // A traced JoinAll run writes one line whose `stages` array carries
+  // the per-join facts of the KFK joins it executed (summed span
+  // attributes), and whose join.probe_ns histogram saw every join.
   const std::string path =
-      ::testing::TempDir() + "/hamlet_pipeline_costs.jsonl";
+      ::testing::TempDir() + "/hamlet_pipeline_stages.jsonl";
   auto ds = MakeDataset("Walmart", 0.02, 3);
   ASSERT_TRUE(ds.ok()) << ds.status();
   PipelineConfig config;
@@ -182,69 +175,26 @@ TEST(JsonlExportTest, TracedPipelineLineCarriesJoinCostRecords) {
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(ParseJson(line + "\n", &doc, &error)) << error;
-  const JsonValue* records = doc.Find("cost_records");
-  ASSERT_NE(records, nullptr);
-  uint64_t kfk_observations = 0;
-  for (const JsonValue& r : records->AsArray()) {
-    if (r.Find("op")->AsString() != "join.kfk") continue;
-    kfk_observations += r.Find("observations")->AsUInt();
-    EXPECT_EQ(r.Find("rows_in")->AsUInt(), ds->entity().num_rows());
-    EXPECT_EQ(r.Find("rows_out")->AsUInt(), ds->entity().num_rows());
-    EXPECT_GT(r.Find("build_rows")->AsUInt(), 0u);
-    EXPECT_GT(r.Find("total_ns_sum")->AsUInt(), 0u);
-    EXPECT_NE(r.Find("probe_ns_sum"), nullptr);
+  const JsonValue* stages = doc.Find("stages");
+  ASSERT_NE(stages, nullptr);
+  const JsonValue* kfk = nullptr;
+  for (const JsonValue& stage : stages->AsArray()) {
+    if (stage.Find("name")->AsString() != "join.kfk") continue;
+    ASSERT_EQ(kfk, nullptr) << "the joins merge into one stage";
+    kfk = &stage;
   }
-  EXPECT_EQ(kfk_observations, report->tables_joined);
-}
+  ASSERT_NE(kfk, nullptr);
+  const uint64_t joins = report->tables_joined;
+  const uint64_t entity_rows = ds->entity().num_rows();
+  EXPECT_EQ(kfk->Find("count")->AsUInt(), joins);
+  const JsonValue* attrs = kfk->Find("attrs");
+  ASSERT_NE(attrs, nullptr);
+  EXPECT_EQ(attrs->Find("rows_probed")->AsUInt(), joins * entity_rows);
+  EXPECT_EQ(attrs->Find("rows_emitted")->AsUInt(), joins * entity_rows);
 
-TEST(PrometheusExportTest, RendersTypedFamiliesWithMangledNames) {
-  std::ostringstream os;
-  obs::DumpPrometheusText(MakeSnapshot(), os);
-  const std::string text = os.str();
-  // Counters: hamlet_ prefix, dots -> underscores, TYPE annotation.
-  EXPECT_NE(text.find("# TYPE hamlet_fs_models_trained counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("hamlet_fs_models_trained 42\n"), std::string::npos);
-  EXPECT_NE(text.find("hamlet_join_rows_probed 100000\n"),
-            std::string::npos);
-  // Histograms: TYPE histogram plus _sum/_count and a mandatory +Inf.
-  EXPECT_NE(text.find("# TYPE hamlet_serve_score_ns histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("hamlet_serve_score_ns_bucket{le=\"+Inf\"} 6\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("hamlet_serve_score_ns_count 6\n"), std::string::npos);
-  const uint64_t sum = 4 + 4 + 100 * 3 + 5000;
-  EXPECT_NE(text.find("hamlet_serve_score_ns_sum " + std::to_string(sum)),
-            std::string::npos);
-}
-
-TEST(PrometheusExportTest, HistogramBucketsAreCumulativeAndOrdered) {
-  std::ostringstream os;
-  obs::DumpPrometheusText(MakeSnapshot(), os);
-  std::istringstream lines(os.str());
-  std::string line;
-  uint64_t prev_count = 0;
-  double prev_le = -1.0;
-  uint32_t bucket_lines = 0;
-  while (std::getline(lines, line)) {
-    const std::string prefix = "hamlet_serve_score_ns_bucket{le=\"";
-    if (line.rfind(prefix, 0) != 0) continue;
-    ++bucket_lines;
-    const size_t close = line.find('"', prefix.size());
-    ASSERT_NE(close, std::string::npos);
-    const std::string le = line.substr(prefix.size(), close - prefix.size());
-    const uint64_t count = std::stoull(line.substr(close + 2));
-    EXPECT_GE(count, prev_count) << "cumulative counts must not drop";
-    prev_count = count;
-    if (le == "+Inf") {
-      EXPECT_EQ(count, 6u) << "+Inf bucket must equal the total count";
-    } else {
-      const double v = std::stod(le);
-      EXPECT_GT(v, prev_le) << "le thresholds must increase";
-      prev_le = v;
-    }
-  }
-  EXPECT_GE(bucket_lines, 4u);  // Three value buckets plus +Inf.
+  const JsonValue* probe = doc.Find("histograms")->Find("join.probe_ns");
+  ASSERT_NE(probe, nullptr);
+  EXPECT_EQ(probe->Find("count")->AsUInt(), joins);
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(JsonReaderTest, ParsesEveryValueKind) {
 }
 
 TEST(JsonReaderTest, IntegersStayInt64Exact) {
-  // Exported cost records carry large nanosecond sums; checking them
+  // Exported histograms carry large nanosecond sums; checking them
   // exactly depends on not passing through a double.
   const JsonValue doc = MustParse(
       R"({"max":9223372036854775807,"min":-9223372036854775808,)"

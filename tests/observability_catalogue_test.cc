@@ -4,18 +4,20 @@
 /// every metric and span name they emit, and compares that set with the
 /// names the document's "Metrics catalogue" and "Span catalogue" tables
 /// list. A name emitted but not documented, or documented but never
-/// emitted, fails the test.
+/// emitted, fails the test. The same two-way check runs on each span's
+/// attribute keys against the table's "attributes" cell.
 ///
 /// "Emitted" for a metric means registered with the global registry,
-/// which is what every snapshot (and so every JSONL or Prometheus
-/// export) carries. Producers register their metrics on first use, so a
-/// registered name is one whose producer ran. Names under `test.` belong
-/// to other tests in this binary and are ignored.
+/// which is what every snapshot (and so every JSONL export) carries.
+/// Producers register their metrics on first use, so a registered name
+/// is one whose producer ran. Names under `test.` belong to other tests
+/// in this binary and are ignored.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -36,15 +38,30 @@ namespace hamlet {
 namespace {
 
 using NameSet = std::set<std::string>;
+/// Span name -> every attribute key seen on spans of that name.
+using SpanAttrs = std::map<std::string, NameSet>;
 
 bool IsTestName(const std::string& name) {
   return name.rfind("test.", 0) == 0;
 }
 
-/// Backticked names in the first cell of every table row of the
-/// `## <section>` part of the document.
-NameSet DocumentedNames(const std::string& doc, const std::string& section) {
+/// Backticked names in one table cell.
+NameSet BacktickedNames(const std::string& cell) {
   NameSet names;
+  for (size_t open = cell.find('`'); open != std::string::npos;) {
+    const size_t close = cell.find('`', open + 1);
+    if (close == std::string::npos) break;
+    names.insert(cell.substr(open + 1, close - open - 1));
+    open = cell.find('`', close + 1);
+  }
+  return names;
+}
+
+/// The cells of every table row of the `## <section>` part of the
+/// document whose first cell starts with a backticked name.
+std::vector<std::vector<std::string>> TableRows(const std::string& doc,
+                                                const std::string& section) {
+  std::vector<std::vector<std::string>> rows;
   std::istringstream lines(doc);
   std::string line;
   bool in_section = false;
@@ -54,20 +71,46 @@ NameSet DocumentedNames(const std::string& doc, const std::string& section) {
       continue;
     }
     if (!in_section || line.rfind("| `", 0) != 0) continue;
-    const std::string cell = line.substr(1, line.find('|', 1) - 1);
-    for (size_t open = cell.find('`'); open != std::string::npos;) {
-      const size_t close = cell.find('`', open + 1);
-      if (close == std::string::npos) break;
-      names.insert(cell.substr(open + 1, close - open - 1));
-      open = cell.find('`', close + 1);
+    std::vector<std::string> cells;
+    size_t begin = 1;
+    for (size_t end = line.find('|', begin); end != std::string::npos;
+         end = line.find('|', begin)) {
+      cells.push_back(line.substr(begin, end - begin));
+      begin = end + 1;
     }
+    if (!cells.empty()) rows.push_back(std::move(cells));
+  }
+  return rows;
+}
+
+/// Backticked names in the first cell of every row of a section.
+NameSet DocumentedNames(const std::string& doc, const std::string& section) {
+  NameSet names;
+  for (const auto& row : TableRows(doc, section)) {
+    const NameSet cell = BacktickedNames(row[0]);
+    names.insert(cell.begin(), cell.end());
   }
   return names;
 }
 
-void AddSpanNames(const obs::Trace& trace, NameSet* spans) {
+/// Span name -> backticked names of its row's "attributes" cell.
+SpanAttrs DocumentedSpanAttrs(const std::string& doc) {
+  SpanAttrs attrs;
+  for (const auto& row : TableRows(doc, "Span catalogue")) {
+    const NameSet documented =
+        row.size() > 2 ? BacktickedNames(row[2]) : NameSet();
+    for (const std::string& span : BacktickedNames(row[0])) {
+      attrs[span] = documented;
+    }
+  }
+  return attrs;
+}
+
+void AddSpans(const obs::Trace& trace, SpanAttrs* spans) {
   for (const obs::TraceEvent& event : trace.events) {
-    if (!IsTestName(event.name)) spans->insert(event.name);
+    if (IsTestName(event.name)) continue;
+    NameSet& keys = (*spans)[event.name];
+    for (const obs::TraceAttr& attr : event.attrs) keys.insert(attr.key);
   }
 }
 
@@ -82,7 +125,7 @@ EncodedDataset ServeData(uint64_t seed, uint32_t n) {
   return EncodedDataset({f, g}, {{"F", 2}, {"G", 4}}, y, 2);
 }
 
-void RunTracedPipelines(const NormalizedDataset& ds, NameSet* spans) {
+void RunTracedPipelines(const NormalizedDataset& ds, SpanAttrs* spans) {
   struct Variant {
     ClassifierKind classifier;
     FsMethod method;
@@ -104,11 +147,12 @@ void RunTracedPipelines(const NormalizedDataset& ds, NameSet* spans) {
     config.trace = true;
     auto report = RunPipeline(ds, config);
     ASSERT_TRUE(report.ok()) << report.status();
-    AddSpanNames(report->trace, spans);
+    AddSpans(report->trace, spans);
   }
 }
 
-void RunIngestJoinAndSimulation(const NormalizedDataset& ds, NameSet* spans) {
+void RunIngestJoinAndSimulation(const NormalizedDataset& ds,
+                                SpanAttrs* spans) {
   obs::ScopedCollection window(true);
   const std::string fk = ds.foreign_keys()[0].fk_column;
   const Table* r = *ds.AttributeTableFor(fk);
@@ -129,10 +173,10 @@ void RunIngestJoinAndSimulation(const NormalizedDataset& ds, NameSet* spans) {
   mc.num_training_sets = 4;
   mc.num_repeats = 1;
   ASSERT_TRUE(RunMonteCarlo(sim, mc).ok());
-  AddSpanNames(obs::Tracer::Global().Collect(), spans);
+  AddSpans(obs::Tracer::Global().Collect(), spans);
 }
 
-void RunServePass(NameSet* spans) {
+void RunServePass(SpanAttrs* spans) {
   const std::string root = ::testing::TempDir() + "/hamlet_catalogue_store";
   std::filesystem::remove_all(root);
   {
@@ -164,7 +208,7 @@ void RunServePass(NameSet* spans) {
     advise.candidates.push_back(table);
     ASSERT_TRUE(service.Advise(std::move(advise)).ok());
     service.Stop();
-    AddSpanNames(obs::Tracer::Global().Collect(), spans);
+    AddSpans(obs::Tracer::Global().Collect(), spans);
   }
   std::filesystem::remove_all(root);
 }
@@ -206,7 +250,7 @@ TEST(ObservabilityCatalogueTest, DocumentedNamesMatchEmittedNames) {
 
   auto ds = MakeDataset("Walmart", 0.01, 3);
   ASSERT_TRUE(ds.ok()) << ds.status();
-  NameSet spans;
+  SpanAttrs spans;
   RunTracedPipelines(*ds, &spans);
   RunIngestJoinAndSimulation(*ds, &spans);
   RunServePass(&spans);
@@ -220,8 +264,17 @@ TEST(ObservabilityCatalogueTest, DocumentedNamesMatchEmittedNames) {
   for (const obs::HistogramSnapshot& h : snapshot.histograms) {
     if (!IsTestName(h.name)) metrics.insert(h.name);
   }
+  NameSet span_names;
+  for (const auto& [name, keys] : spans) span_names.insert(name);
   ExpectSameNames(documented_metrics, metrics, "metric(s)");
-  ExpectSameNames(documented_spans, spans, "span(s)");
+  ExpectSameNames(documented_spans, span_names, "span(s)");
+
+  const SpanAttrs documented_attrs = DocumentedSpanAttrs(doc.str());
+  for (const auto& [name, keys] : spans) {
+    const auto it = documented_attrs.find(name);
+    if (it == documented_attrs.end()) continue;  // Reported above.
+    ExpectSameNames(it->second, keys, "attribute(s) of span `" + name + "`");
+  }
 }
 
 }  // namespace

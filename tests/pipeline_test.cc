@@ -137,15 +137,10 @@ TEST(PipelineTest, UntracedRunStillCarriesATimingSummary) {
   EXPECT_FALSE(config.trace);
   EXPECT_TRUE(report.trace.empty());
   EXPECT_EQ(report.ExplainTree(), "");
-  // The coarse rollup is always there, with the same stage names a
-  // traced run would produce.
+  // The stage digest comes only from a collected trace; the report's
+  // own timing fields are filled either way.
+  EXPECT_TRUE(report.trace_summary.stages.empty());
   EXPECT_GT(report.total_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(report.trace_summary.total_seconds,
-                   report.total_seconds);
-  EXPECT_DOUBLE_EQ(report.trace_summary.StageSeconds("pipeline.join"),
-                   report.join_seconds);
-  EXPECT_DOUBLE_EQ(report.trace_summary.StageSeconds("fs.search"),
-                   report.selection.runtime_seconds);
   EXPECT_GT(report.selection.total_seconds,
             report.selection.runtime_seconds);
   EXPECT_GE(report.selection.fit_seconds, 0.0);

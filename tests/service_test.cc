@@ -239,7 +239,7 @@ TEST_F(ServiceTest, BatchedAndUnbatchedAgree) {
   std::vector<uint32_t> expected = model.Predict(data, AllRows(data));
 
   ServiceOptions unbatched;
-  unbatched.batch_scoring = false;
+  unbatched.max_batch = 1;
   HamletService service_a(store_.get(), ServiceOptions{});
   HamletService service_b(store_.get(), unbatched);
   for (HamletService* service : {&service_a, &service_b}) {
