@@ -71,12 +71,13 @@ struct PipelineConfig {
   /// The HAMLET_TRACE environment variable turns tracing on as well; when
   /// both are off, instrumentation costs a single predictable branch.
   bool trace = false;
-  /// Escape hatch: the search scores every candidate with a full model
-  /// retrain instead of the sufficient-statistics delta scorer. It
-  /// reaches the search through MakeSelector only; nothing process-wide
-  /// changes. Selections and errors are unchanged — the delta scorer is
-  /// equivalence-tested — so this exists for debugging and for measuring
-  /// the delta scorer's speedup (see docs/PERFORMANCE.md).
+  /// Escape hatch: the run builds no sufficient statistics, so the
+  /// search scores every candidate with a full model retrain instead of
+  /// the delta scorer, and filter scores and the final fit count from
+  /// the codes. It reaches the search through MakeSelector only; nothing
+  /// process-wide changes. Selections and errors are unchanged — the
+  /// statistics paths are equivalence-tested — so this exists for
+  /// debugging and for measuring their speedup (see docs/PERFORMANCE.md).
   bool force_scan_eval = false;
   /// Factorized mode: run feature selection over the normalized (S, R)
   /// view (ml/factorized.h) instead of materializing the joins the plan

@@ -84,9 +84,11 @@ class EncodedDataset {
   /// the simulation drivers; the FS/ML layer prefers index-based access.
   EncodedDataset GatherRows(const std::vector<uint32_t>& rows) const;
 
-  /// Process-unique identity used to key the sufficient-statistics cache.
-  /// Assigned at construction; copies share the id, which is safe because
-  /// the contents are immutable (equal ids imply equal data).
+  /// Process-unique identity that sufficient statistics record
+  /// (SuffStats::dataset_id), so a model handed statistics of another
+  /// dataset ignores them. Assigned at construction; copies share the id,
+  /// which is safe because the contents are immutable (equal ids imply
+  /// equal data).
   uint64_t cache_id() const { return cache_id_; }
 
  private:

@@ -58,15 +58,12 @@ uint32_t ChooseSplitBits(uint32_t d, uint32_t num_threads) {
 // the sum (~1e-15 per score, docs/PERFORMANCE.md).
 class DeltaScorer final : public CandidateScorer {
  public:
-  DeltaScorer(std::unique_ptr<NbSubsetEvaluator> ev,
-              std::shared_ptr<const SuffStats> stats, uint32_t num_threads)
-      : CandidateScorer(/*delta=*/true, num_threads),
-        ev_(std::move(ev)),
-        stats_(std::move(stats)) {}
-
-  std::shared_ptr<const SuffStats> TrainStats() const override {
-    return stats_;
-  }
+  DeltaScorer(std::unique_ptr<NbSubsetEvaluator> ev, uint32_t num_threads,
+              BuildStatsFn build_stats, ScanTableFn scan_table,
+              std::shared_ptr<const SuffStats> stats)
+      : CandidateScorer(/*delta=*/true, num_threads, std::move(build_stats),
+                        std::move(scan_table), std::move(stats)),
+        ev_(std::move(ev)) {}
 
  private:
   Result<double> EvalNewBase() override {
@@ -151,29 +148,26 @@ class DeltaScorer final : public CandidateScorer {
   const NbSubsetEvaluator& ev() const { return *ev_; }
 
   std::unique_ptr<NbSubsetEvaluator> ev_;
-  std::shared_ptr<const SuffStats> stats_;
 };
 
 // Trains and scores one fresh model from `factory` on `features`; bound
 // to the view, the split and the pre-gathered evaluation labels.
 using TrainAndScoreFn = std::function<Result<double>(
     const ClassifierFactory& factory, const std::vector<uint32_t>& features)>;
-using TrainStatsFn = std::function<std::shared_ptr<const SuffStats>()>;
 
 // The retrain scorer: every batch is a set of independent TrainAndScore
-// calls, one per-index slot each, run in parallel.
+// calls, one per-index slot each, run in parallel. Each candidate model
+// gets the statistics the scorer built up front.
 class RetrainScorer final : public CandidateScorer {
  public:
-  RetrainScorer(ClassifierFactory factory, TrainAndScoreFn train_and_score,
-                TrainStatsFn train_stats, uint32_t num_threads)
-      : CandidateScorer(/*delta=*/false, num_threads),
-        factory_(std::move(factory)),
-        train_and_score_(std::move(train_and_score)),
-        train_stats_(std::move(train_stats)) {}
-
-  std::shared_ptr<const SuffStats> TrainStats() const override {
-    return train_stats_();
-  }
+  RetrainScorer(const ClassifierFactory& factory,
+                TrainAndScoreFn train_and_score, uint32_t num_threads,
+                BuildStatsFn build_stats, ScanTableFn scan_table,
+                std::shared_ptr<const SuffStats> stats)
+      : CandidateScorer(/*delta=*/false, num_threads, std::move(build_stats),
+                        std::move(scan_table), std::move(stats)),
+        factory_(WithTrainStats(factory)),
+        train_and_score_(std::move(train_and_score)) {}
 
   void UseRefitBudget() override {
     factory_ = [inner = std::move(factory_)] {
@@ -264,20 +258,81 @@ class RetrainScorer final : public CandidateScorer {
 
   ClassifierFactory factory_;
   TrainAndScoreFn train_and_score_;
-  TrainStatsFn train_stats_;
 };
 
-// The delta scorer needs a Naive Bayes factory, the statistics of a
-// non-empty train split, and no force_scan_eval. The factory is an opaque
-// std::function, so one probe instance tells which classifier it makes.
-const NaiveBayes* DeltaCandidate(const Classifier& probe,
-                                 const HoldoutSplit& split,
-                                 bool force_scan_eval) {
-  if (force_scan_eval || split.train.empty()) return nullptr;
-  return dynamic_cast<const NaiveBayes*>(&probe);
+// What a view contributes to its scorer: the statistics build, the scan
+// twin of one feature's table, the per-candidate retrain, and the delta
+// evaluator over given statistics.
+struct ScorerView {
+  CandidateScorer::BuildStatsFn build_stats;
+  CandidateScorer::ScanTableFn scan_table;
+  TrainAndScoreFn train_and_score;
+  std::function<std::unique_ptr<NbSubsetEvaluator>(
+      std::shared_ptr<const SuffStats>, double alpha)>
+      make_evaluator;
+};
+
+// Feature `source`'s contingency table over `rows`, counted in place —
+// the integer counts BuildSuffStats would hold for it.
+ContingencyTable CountTable(const CodeSource& source, uint32_t cardinality,
+                            const std::vector<uint32_t>& labels,
+                            uint32_t num_classes,
+                            const std::vector<uint32_t>& rows) {
+  std::vector<uint64_t> cells(static_cast<size_t>(cardinality) * num_classes,
+                              0);
+  for (uint32_t r : rows) {
+    ++cells[static_cast<size_t>(source(r)) * num_classes + labels[r]];
+  }
+  return ContingencyTable(std::move(cells), cardinality, num_classes);
+}
+
+// The view-independent half of both MakeCandidateScorer overloads. The
+// statistics are built up front when the factory's models read them (the
+// factory is an opaque std::function, so one probe instance tells), and
+// never under force_scan_eval. The delta scorer needs a Naive Bayes
+// factory, a non-empty train split, and no force_scan_eval.
+std::unique_ptr<CandidateScorer> MakeScorer(const Classifier& probe,
+                                            const ClassifierFactory& factory,
+                                            const HoldoutSplit& split,
+                                            uint32_t num_threads,
+                                            bool force_scan_eval,
+                                            ScorerView view) {
+  if (force_scan_eval) view.build_stats = nullptr;
+  std::shared_ptr<const SuffStats> stats;
+  if (view.build_stats && !split.train.empty() && probe.ReadsTrainStats()) {
+    stats = std::make_shared<const SuffStats>(view.build_stats());
+  }
+  const auto* nb = dynamic_cast<const NaiveBayes*>(&probe);
+  if (nb != nullptr && stats != nullptr) {
+    return std::make_unique<DeltaScorer>(
+        view.make_evaluator(stats, nb->alpha()), num_threads,
+        std::move(view.build_stats), std::move(view.scan_table),
+        std::move(stats));
+  }
+  return std::make_unique<RetrainScorer>(
+      factory, std::move(view.train_and_score), num_threads,
+      std::move(view.build_stats), std::move(view.scan_table),
+      std::move(stats));
 }
 
 }  // namespace
+
+std::shared_ptr<const SuffStats> CandidateScorer::TrainStats() {
+  if (stats_ == nullptr && build_stats_) {
+    stats_ = std::make_shared<const SuffStats>(build_stats_());
+  }
+  return stats_;
+}
+
+ClassifierFactory CandidateScorer::WithTrainStats(
+    ClassifierFactory factory) const {
+  if (stats_ == nullptr) return factory;
+  return [inner = std::move(factory), stats = stats_] {
+    std::unique_ptr<Classifier> model = inner();
+    model->UseTrainStats(stats);
+    return model;
+  };
+}
 
 Result<double> CandidateScorer::ResetBase(std::vector<uint32_t> subset) {
   base_ = std::move(subset);
@@ -342,33 +397,30 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     const std::vector<uint32_t>& candidates, uint32_t num_threads,
     bool force_scan_eval) {
   const std::unique_ptr<Classifier> probe = factory();
-  if (const NaiveBayes* nb = DeltaCandidate(*probe, split, force_scan_eval)) {
-    std::shared_ptr<const SuffStats> stats =
-        SuffStatsCache::Global().GetOrBuild(data, split.train, num_threads);
-    if (stats != nullptr) {
-      auto ev = std::make_unique<NbSubsetEvaluator>(
-          data, stats, split.validation, metric, nb->alpha(), candidates,
-          num_threads);
-      return std::unique_ptr<CandidateScorer>(std::make_unique<DeltaScorer>(
-          std::move(ev), std::move(stats), num_threads));
-    }
-  }
-  return std::unique_ptr<CandidateScorer>(std::make_unique<RetrainScorer>(
-      factory,
+  ScorerView view;
+  view.build_stats = [&data, &split, num_threads] {
+    return BuildSuffStats(data, split.train, num_threads);
+  };
+  view.scan_table = [&data, &split](uint32_t j) {
+    return CountTable(CodeSource::Direct(data.feature(j)),
+                      data.meta(j).cardinality, data.labels(),
+                      data.num_classes(), split.train);
+  };
+  view.train_and_score =
       [&data, &split, metric,
        eval_labels = GatherLabels(data, split.validation)](
           const ClassifierFactory& f, const std::vector<uint32_t>& features) {
         return TrainAndScore(f, data, split.train, split.validation,
                              eval_labels, features, metric);
-      },
-      [&data, &split, num_threads] {
-        std::shared_ptr<const SuffStats> stats =
-            SuffStatsCache::Global().Peek(data, split.train);
-        if (stats != nullptr) return stats;
-        return std::make_shared<const SuffStats>(
-            BuildSuffStats(data, split.train, num_threads));
-      },
-      num_threads));
+      };
+  view.make_evaluator = [&](std::shared_ptr<const SuffStats> stats,
+                            double alpha) {
+    return std::make_unique<NbSubsetEvaluator>(data, std::move(stats),
+                                               split.validation, metric, alpha,
+                                               candidates, num_threads);
+  };
+  return MakeScorer(*probe, factory, split, num_threads, force_scan_eval,
+                    std::move(view));
 }
 
 Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
@@ -377,18 +429,10 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
     const std::vector<uint32_t>& candidates, uint32_t num_threads,
     bool force_scan_eval) {
   const std::unique_ptr<Classifier> probe = factory();
-  if (const NaiveBayes* nb = DeltaCandidate(*probe, split, force_scan_eval)) {
-    std::shared_ptr<const SuffStats> stats =
-        GetOrBuildFactorizedSuffStats(data, split.train, num_threads);
-    if (stats != nullptr) {
-      std::unique_ptr<NbSubsetEvaluator> ev =
-          MakeFactorizedNbEvaluator(data, stats, split.validation, metric,
-                                    nb->alpha(), candidates, num_threads);
-      return std::unique_ptr<CandidateScorer>(std::make_unique<DeltaScorer>(
-          std::move(ev), std::move(stats), num_threads));
-    }
-  }
-  if (dynamic_cast<const FactorizedTrainable*>(probe.get()) == nullptr) {
+  const bool delta = !force_scan_eval && !split.train.empty() &&
+                     dynamic_cast<const NaiveBayes*>(probe.get()) != nullptr;
+  if (!delta &&
+      dynamic_cast<const FactorizedTrainable*>(probe.get()) == nullptr) {
     return Status::InvalidArgument(StringFormat(
         "factorized selection with %s needs the Naive Bayes "
         "sufficient-statistics path (not under force_scan_eval) or a "
@@ -396,25 +440,28 @@ Result<std::unique_ptr<CandidateScorer>> MakeCandidateScorer(
         "scan exists without the materialized join",
         probe->name().c_str()));
   }
-  // Warm the factorized statistics cache once so every candidate retrain
-  // seeds its root histograms from the cached counts (nullptr under a
-  // ScopedSuffStatsBypass; training then counts from the codes).
-  std::shared_ptr<const SuffStats> warm =
-      GetOrBuildFactorizedSuffStats(data, split.train, num_threads);
-  return std::unique_ptr<CandidateScorer>(std::make_unique<RetrainScorer>(
-      factory,
+  ScorerView view;
+  view.build_stats = [&data, &split, num_threads] {
+    return BuildFactorizedSuffStats(data, split.train, num_threads);
+  };
+  view.scan_table = [&data, &split](uint32_t j) {
+    return CountTable(data.code_source(j), data.meta(j).cardinality,
+                      data.labels(), data.num_classes(), split.train);
+  };
+  view.train_and_score =
       [&data, &split, metric,
        eval_labels = GatherLabels(data.entity(), split.validation)](
           const ClassifierFactory& f, const std::vector<uint32_t>& features) {
         return TrainAndScoreFactorized(f, data, split.train, split.validation,
                                        eval_labels, features, metric);
-      },
-      [&data, &split, num_threads, warm = std::move(warm)] {
-        if (warm != nullptr) return warm;
-        return std::make_shared<const SuffStats>(
-            BuildFactorizedSuffStats(data, split.train, num_threads));
-      },
-      num_threads));
+      };
+  view.make_evaluator = [&](std::shared_ptr<const SuffStats> stats,
+                            double alpha) {
+    return MakeFactorizedNbEvaluator(data, std::move(stats), split.validation,
+                                     metric, alpha, candidates, num_threads);
+  };
+  return MakeScorer(*probe, factory, split, num_threads, force_scan_eval,
+                    std::move(view));
 }
 
 Result<double> TrainAndScoreFactorized(const ClassifierFactory& factory,

@@ -66,6 +66,14 @@ class FeatureSelector {
       const ClassifierFactory& factory, ErrorMetric metric,
       const std::vector<uint32_t>& candidates);
 
+  /// Runs the search against a scorer the caller built with
+  /// MakeCandidateScorer (fs/candidate_eval.h). Select and
+  /// SelectFactorized are this over a scorer of their own; the fs runner
+  /// keeps its scorer — and the statistics it owns — alive through the
+  /// final fit.
+  Result<SelectionResult> SelectWith(CandidateScorer& scorer,
+                                     const std::vector<uint32_t>& candidates);
+
   /// Method name ("forward_selection", "mi_filter", ...).
   virtual std::string name() const = 0;
 
@@ -78,10 +86,11 @@ class FeatureSelector {
   void set_num_threads(uint32_t num_threads) { num_threads_ = num_threads; }
   uint32_t num_threads() const { return num_threads_; }
 
-  /// Forces the retrain scorer (a full model retrain per candidate) even
-  /// when the sufficient-statistics delta scorer is available. Escape
-  /// hatch surfaced as PipelineConfig::force_scan_eval; the delta scorer
-  /// selects identical subsets, so this only trades speed.
+  /// Makes the search the scan reference: the scorer builds no
+  /// sufficient statistics, so every candidate retrains from the codes
+  /// and filter scores count from them too. Escape hatch surfaced as
+  /// PipelineConfig::force_scan_eval; the statistics paths select
+  /// identical subsets, so this only trades speed.
   void set_force_scan_eval(bool force) { force_scan_eval_ = force; }
   bool force_scan_eval() const { return force_scan_eval_; }
 
@@ -93,9 +102,6 @@ class FeatureSelector {
   /// validation error; models_trained is filled in from the scorer.
   virtual Result<SelectionResult> Search(
       CandidateScorer& scorer, const std::vector<uint32_t>& candidates) = 0;
-
-  Result<SelectionResult> Run(Result<std::unique_ptr<CandidateScorer>> scorer,
-                              const std::vector<uint32_t>& candidates);
 
   bool force_scan_eval_ = false;
 };

@@ -1,6 +1,7 @@
 #include "fs/filters.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "common/parallel_for.h"
@@ -44,57 +45,45 @@ SelectionResult PickBestPrefix(const std::vector<double>& errors,
 
 }  // namespace
 
+std::vector<double> ScoreFilter::ScoreTables(
+    const std::vector<uint32_t>& candidates,
+    const std::function<ContingencyTable(uint32_t)>& table_of) const {
+  // Each feature's score is independent of the others: one slot per
+  // candidate, no cross-item state.
+  std::vector<double> scores(candidates.size(), 0.0);
+  ParallelFor(static_cast<uint32_t>(candidates.size()), num_threads_,
+              [&](uint32_t idx) {
+                const ContingencyTable table = table_of(candidates[idx]);
+                scores[idx] = score_ == FilterScore::kMutualInformation
+                                  ? MutualInformation(table)
+                                  : InformationGainRatio(table);
+              });
+  return scores;
+}
+
 std::vector<double> ScoreFilter::ScoreFeaturesFromStats(
     const SuffStats& stats, const std::vector<uint32_t>& candidates) const {
-  std::vector<double> scores(candidates.size(), 0.0);
-  ParallelFor(
-      static_cast<uint32_t>(candidates.size()), num_threads_,
-      [&](uint32_t idx) {
-        const uint32_t j = candidates[idx];
-        ContingencyTable table(stats.feature_counts[j], stats.cardinalities[j],
-                               stats.num_classes);
-        scores[idx] = score_ == FilterScore::kMutualInformation
-                          ? MutualInformation(table)
-                          : InformationGainRatio(table);
-      });
-  return scores;
+  return ScoreTables(candidates, [&](uint32_t j) {
+    return ContingencyTable(stats.feature_counts[j], stats.cardinalities[j],
+                            stats.num_classes);
+  });
 }
 
 std::vector<double> ScoreFilter::ScoreFeatures(
     const EncodedDataset& data, const std::vector<uint32_t>& rows,
     const std::vector<uint32_t>& candidates) const {
-  // If sufficient statistics for (data, rows) are cached, every
-  // contingency table is already sitting in them — same integer counts,
-  // so the scores are bit-identical to the gathering path below.
-  std::shared_ptr<const SuffStats> stats =
-      SuffStatsCache::Global().Peek(data, rows);
-  if (stats != nullptr) {
-    return ScoreFeaturesFromStats(*stats, candidates);
-  }
-
   // Gather labels once; shared read-only across the scoring items.
   std::vector<uint32_t> y;
   y.reserve(rows.size());
   for (uint32_t r : rows) y.push_back(data.labels()[r]);
-
-  // Each feature's score is independent of the others, so the scan is
-  // data-parallel: one slot per candidate, no cross-item state.
-  std::vector<double> scores(candidates.size(), 0.0);
-  ParallelFor(
-      static_cast<uint32_t>(candidates.size()), num_threads_,
-      [&](uint32_t idx) {
-        const uint32_t j = candidates[idx];
-        const std::vector<uint32_t>& col = data.feature(j);
-        std::vector<uint32_t> f;
-        f.reserve(rows.size());
-        for (uint32_t r : rows) f.push_back(col[r]);
-        ContingencyTable table(f, y, data.meta(j).cardinality,
-                               data.num_classes());
-        scores[idx] = score_ == FilterScore::kMutualInformation
-                          ? MutualInformation(table)
-                          : InformationGainRatio(table);
-      });
-  return scores;
+  return ScoreTables(candidates, [&](uint32_t j) {
+    const std::vector<uint32_t>& col = data.feature(j);
+    std::vector<uint32_t> f;
+    f.reserve(rows.size());
+    for (uint32_t r : rows) f.push_back(col[r]);
+    return ContingencyTable(f, y, data.meta(j).cardinality,
+                            data.num_classes());
+  });
 }
 
 Result<SelectionResult> ScoreFilter::Search(
@@ -109,7 +98,14 @@ Result<SelectionResult> ScoreFilter::Search(
   {
     obs::TraceSpan span("fs.filter_score");
     span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
-    scores = ScoreFeaturesFromStats(*scorer.TrainStats(), candidates);
+    // The search's statistics hold every table; the scan reference
+    // (force_scan_eval) counts them from the codes instead.
+    const std::shared_ptr<const SuffStats> stats = scorer.TrainStats();
+    scores = stats != nullptr
+                 ? ScoreFeaturesFromStats(*stats, candidates)
+                 : ScoreTables(candidates, [&](uint32_t j) {
+                     return scorer.ScanTrainTable(j);
+                   });
   }
 
   const std::vector<uint32_t> order = RankByScore(scores);

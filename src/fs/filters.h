@@ -12,7 +12,10 @@
 /// their own slot, and the rank/argmin reductions run serially in index
 /// order, so results are bit-for-bit identical at any thread count.
 
+#include <functional>
+
 #include "fs/feature_selector.h"
+#include "stats/contingency.h"
 
 namespace hamlet {
 
@@ -43,13 +46,18 @@ class ScoreFilter : public FeatureSelector {
   /// Scores straight from prebuilt sufficient statistics — the counts are
   /// the contingency tables, so no data scan happens at all. This is the
   /// scoring path the search uses (the scorer's TrainStats, on either
-  /// view) and the one ScoreFeatures takes on a cache hit; identical
-  /// counts make the scores bit-identical across all routes. Output is
-  /// parallel to `candidates`.
+  /// view) unless it is the force_scan_eval scan reference, which counts
+  /// each table from the codes; identical counts make the scores
+  /// bit-identical across all routes. Output is parallel to `candidates`.
   std::vector<double> ScoreFeaturesFromStats(
       const SuffStats& stats, const std::vector<uint32_t>& candidates) const;
 
  private:
+  /// Scores every candidate from its contingency table, in parallel.
+  std::vector<double> ScoreTables(
+      const std::vector<uint32_t>& candidates,
+      const std::function<ContingencyTable(uint32_t)>& table_of) const;
+
   Result<SelectionResult> Search(
       CandidateScorer& scorer,
       const std::vector<uint32_t>& candidates) override;

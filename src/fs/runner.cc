@@ -1,5 +1,6 @@
 #include "fs/runner.h"
 
+#include "common/check.h"
 #include "common/timer.h"
 #include "fs/candidate_eval.h"
 #include "fs/filters.h"
@@ -15,15 +16,18 @@ namespace hamlet {
 namespace {
 
 // The final fit over the factorized view never materializes the join.
-// With a Naive Bayes factory it trains straight from the factorized
-// statistics (a cache hit after the search) and scores the test split
-// through an evaluator whose codes come via the FK hops — the exact
-// doubles the materialized TrainAndScore would produce: TrainFromStats is
-// how NB trains from counts, and EvalSubset sums the subset in selection
-// order, the prediction path's order. Factorized-trainable classifiers
-// (trees, GBT) train a fresh full-budget model through TrainFactorized,
-// which they guarantee bit-identical to the materialized twin.
-Result<double> FactorizedFinalFit(const FactorizedDataset& data,
+// With a Naive Bayes factory it trains straight from the search's
+// factorized statistics (the scorer always holds them for Naive Bayes
+// over this view) and scores the test split through an evaluator whose
+// codes come via the FK hops — the exact doubles the materialized
+// TrainAndScore would produce: TrainFromStats is how NB trains from
+// counts, and EvalSubset sums the subset in selection order, the
+// prediction path's order. Factorized-trainable classifiers (trees, GBT)
+// train a fresh full-budget model through TrainFactorized, handed the
+// search's statistics, which they guarantee bit-identical to the
+// materialized twin.
+Result<double> FactorizedFinalFit(CandidateScorer& scorer,
+                                  const FactorizedDataset& data,
                                   const HoldoutSplit& split,
                                   const ClassifierFactory& factory,
                                   ErrorMetric metric,
@@ -32,42 +36,48 @@ Result<double> FactorizedFinalFit(const FactorizedDataset& data,
   std::unique_ptr<Classifier> probe = factory();
   auto* nb = dynamic_cast<NaiveBayes*>(probe.get());
   if (nb == nullptr) {
-    return TrainAndScoreFactorized(factory, data, split.train, split.test,
+    return TrainAndScoreFactorized(scorer.WithTrainStats(factory), data,
+                                   split.train, split.test,
                                    GatherLabels(data.entity(), split.test),
                                    selected, metric);
   }
-  std::shared_ptr<const SuffStats> stats =
-      GetOrBuildFactorizedSuffStats(data, split.train, num_threads);
-  if (stats == nullptr) {
-    return Status::FailedPrecondition(
-        "factorized final fit requires an active sufficient-statistics "
-        "cache (ScopedSuffStatsBypass is incompatible with factorized "
-        "Naive Bayes runs)");
-  }
+  std::shared_ptr<const SuffStats> stats = scorer.TrainStats();
+  HAMLET_CHECK(stats != nullptr,
+               "factorized Naive Bayes searches always hold statistics");
   HAMLET_RETURN_NOT_OK(nb->TrainFromStats(*stats, selected));
   std::unique_ptr<NbSubsetEvaluator> holdout = MakeFactorizedNbEvaluator(
       data, stats, split.test, metric, nb->alpha(), selected, num_threads);
   return holdout->EvalSubset(selected);
 }
 
-// The body both runners share: the timed, traced search, then the final
-// fit on the chosen subset.
-template <typename Data, typename Search, typename FinalFit>
+// The body both runners share: the timed, traced search over a scorer
+// built inside the `fs.search` span (so its statistics build is search
+// time), then the final fit on the chosen subset through the same scorer,
+// which reuses the search's statistics.
+template <typename Data, typename FinalFit>
 Result<FsRunReport> RunSearchThenFit(FeatureSelector& selector,
                                      const Data& data,
+                                     const HoldoutSplit& split,
+                                     const ClassifierFactory& factory,
+                                     ErrorMetric metric,
                                      const std::vector<uint32_t>& candidates,
-                                     const Search& search,
                                      const FinalFit& final_fit) {
   FsRunReport report;
   report.method = selector.name();
 
   Timer total_timer;
+  std::unique_ptr<CandidateScorer> scorer;
   {
     obs::TraceSpan span("fs.search");
     span.AddAttr("method", selector.name());
     span.AddAttr("candidates", static_cast<uint64_t>(candidates.size()));
     Timer timer;
-    HAMLET_ASSIGN_OR_RETURN(report.selection, search());
+    HAMLET_ASSIGN_OR_RETURN(
+        scorer, MakeCandidateScorer(data, split, factory, metric, candidates,
+                                    selector.num_threads(),
+                                    selector.force_scan_eval()));
+    HAMLET_ASSIGN_OR_RETURN(report.selection,
+                            selector.SelectWith(*scorer, candidates));
     report.runtime_seconds = timer.ElapsedSeconds();
     span.AddAttr("models_trained", report.selection.models_trained);
     span.AddAttr("selected",
@@ -81,7 +91,7 @@ Result<FsRunReport> RunSearchThenFit(FeatureSelector& selector,
                  static_cast<uint64_t>(report.selection.selected.size()));
     Timer timer;
     HAMLET_ASSIGN_OR_RETURN(report.holdout_test_error,
-                            final_fit(report.selection.selected));
+                            final_fit(*scorer, report.selection.selected));
     report.fit_seconds = timer.ElapsedSeconds();
   }
   report.total_seconds = total_timer.ElapsedSeconds();
@@ -141,11 +151,10 @@ Result<FsRunReport> RunFeatureSelection(
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates) {
   return RunSearchThenFit(
-      selector, data, candidates,
-      [&] { return selector.Select(data, split, factory, metric, candidates); },
-      [&](const std::vector<uint32_t>& selected) {
-        return TrainAndScore(factory, data, split.train, split.test, selected,
-                             metric);
+      selector, data, split, factory, metric, candidates,
+      [&](CandidateScorer& scorer, const std::vector<uint32_t>& selected) {
+        return TrainAndScore(scorer.WithTrainStats(factory), data,
+                             split.train, split.test, selected, metric);
       });
 }
 
@@ -154,14 +163,10 @@ Result<FsRunReport> RunFeatureSelectionFactorized(
     const HoldoutSplit& split, const ClassifierFactory& factory,
     ErrorMetric metric, const std::vector<uint32_t>& candidates) {
   return RunSearchThenFit(
-      selector, data, candidates,
-      [&] {
-        return selector.SelectFactorized(data, split, factory, metric,
-                                         candidates);
-      },
-      [&](const std::vector<uint32_t>& selected) {
-        return FactorizedFinalFit(data, split, factory, metric, selected,
-                                  selector.num_threads());
+      selector, data, split, factory, metric, candidates,
+      [&](CandidateScorer& scorer, const std::vector<uint32_t>& selected) {
+        return FactorizedFinalFit(scorer, data, split, factory, metric,
+                                  selected, selector.num_threads());
       });
 }
 

@@ -28,9 +28,10 @@ const char* FsMethodToString(FsMethod method);
 /// Constructs the selector for a method. `num_threads` shards each search
 /// step's independent candidate evaluations onto the shared pool (0 = one
 /// shard per hardware thread, 1 = serial); every setting produces
-/// bit-for-bit identical selections. `force_scan_eval` makes the search
-/// retrain every candidate instead of using the sufficient-statistics
-/// delta scorer — the escape hatch behind PipelineConfig::force_scan_eval.
+/// bit-for-bit identical selections. `force_scan_eval` makes the run the
+/// scan reference — no sufficient statistics are built, so every
+/// candidate, filter score and final fit counts from the codes — the
+/// escape hatch behind PipelineConfig::force_scan_eval.
 std::unique_ptr<FeatureSelector> MakeSelector(FsMethod method,
                                               uint32_t num_threads = 0,
                                               bool force_scan_eval = false);
@@ -54,7 +55,10 @@ struct FsRunReport {
 };
 
 /// Runs `selector` over `candidates`, then fits the chosen subset on
-/// `split.train` and reports the error on `split.test`.
+/// `split.train` and reports the error on `split.test`. One
+/// CandidateScorer (fs/candidate_eval.h) owns the train split's
+/// statistics for the whole run: it is built inside the `fs.search` span
+/// and kept alive through the final fit, which reuses its statistics.
 Result<FsRunReport> RunFeatureSelection(
     FeatureSelector& selector, const EncodedDataset& data,
     const HoldoutSplit& split, const ClassifierFactory& factory,
@@ -63,10 +67,11 @@ Result<FsRunReport> RunFeatureSelection(
 /// Factorized twin of RunFeatureSelection: the search runs through
 /// SelectFactorized over the normalized (S, R) view, and so does the
 /// final fit — no joined table is ever materialized, not even for the
-/// holdout scoring. Naive Bayes trains straight from the factorized
-/// sufficient statistics and scores the test rows through an evaluator
-/// that gathers their codes via the FK hops; trees and GBT train and
-/// predict through TrainFactorized/PredictFactorized. Reports carry the
+/// holdout scoring. Naive Bayes trains straight from the search's
+/// factorized sufficient statistics and scores the test rows through an
+/// evaluator that gathers their codes via the FK hops; trees and GBT
+/// train and predict through TrainFactorized/PredictFactorized, handed
+/// the search's statistics. Reports carry the
 /// same fields and stage names as the materialized runner (the two share
 /// one body), and every number except the timings is bit-identical to it.
 Result<FsRunReport> RunFeatureSelectionFactorized(

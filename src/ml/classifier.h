@@ -18,6 +18,8 @@
 
 namespace hamlet {
 
+struct SuffStats;
+
 /// A trainable multi-class classifier over categorical features.
 class Classifier {
  public:
@@ -47,6 +49,21 @@ class Classifier {
   /// is a fresh model at full strength. A no-op by default; DecisionTree
   /// and Gbt override it. It affects this model only.
   virtual void UseRefitBudget() {}
+
+  /// True when this model trains faster from sufficient statistics
+  /// (UseTrainStats); owners build statistics only when some model or
+  /// score they run reads them. False by default; NaiveBayes and
+  /// DecisionTree override it.
+  virtual bool ReadsTrainStats() const { return false; }
+
+  /// Hands this model the sufficient statistics of its train split, built
+  /// once by the caller that owns the split (the feature-selection
+  /// scorer, the Monte Carlo draw). A later Train uses them only when
+  /// their identity and row vector match the call
+  /// (SuffStats::Describes); otherwise, or with nullptr, it counts from
+  /// the codes. The model is bit-identical either way. A no-op unless
+  /// ReadsTrainStats(); it affects this model only.
+  virtual void UseTrainStats(std::shared_ptr<const SuffStats> /*stats*/) {}
 };
 
 /// Creates fresh classifier instances; wrappers re-train one model per

@@ -358,16 +358,17 @@ struct TreeGrower {
   }
 };
 
-/// True when cached statistics can seed the root histograms: same class
-/// count and at least as many feature tables as the dataset, each trained
-/// slot's table covering its training-time cardinality.
-bool RootStatsUsable(const SuffStats* stats, uint32_t num_classes,
+/// True when statistics of the training rows can seed the root
+/// histograms: same class count and at least as many feature tables as
+/// the dataset, each trained slot's table covering its training-time
+/// cardinality.
+bool RootStatsUsable(const SuffStats& stats, uint32_t num_classes,
                      const std::vector<uint32_t>& features,
                      const std::vector<uint32_t>& cards) {
-  if (stats == nullptr || stats->num_classes != num_classes) return false;
+  if (stats.num_classes != num_classes) return false;
   for (size_t jj = 0; jj < features.size(); ++jj) {
-    if (features[jj] >= stats->feature_counts.size()) return false;
-    if (stats->cardinalities[features[jj]] != cards[jj]) return false;
+    if (features[jj] >= stats.feature_counts.size()) return false;
+    if (stats.cardinalities[features[jj]] != cards[jj]) return false;
   }
   return true;
 }
@@ -417,10 +418,8 @@ Status DecisionTree::Train(const EncodedDataset& data,
     sources.push_back(CodeSource::Direct(data.feature(j)));
   }
   SetTrainedSlots(data.metas(), features);
-  std::shared_ptr<const SuffStats> stats =
-      SuffStatsCache::Global().Peek(data, rows);
   return TrainImpl(data.num_classes(), data.labels(), data.num_rows(), rows,
-                   sources, stats.get());
+                   sources, data.cache_id(), 0);
 }
 
 Status DecisionTree::TrainFactorized(const FactorizedDataset& data,
@@ -435,10 +434,8 @@ Status DecisionTree::TrainFactorized(const FactorizedDataset& data,
   sources.reserve(features.size());
   for (uint32_t j : features) sources.push_back(data.code_source(j));
   SetTrainedSlots(data.metas(), features);
-  std::shared_ptr<const SuffStats> stats =
-      SuffStatsCache::Global().PeekKeyed(data.cache_key(), rows);
   return TrainImpl(data.num_classes(), data.labels(), data.num_rows(), rows,
-                   sources, stats.get());
+                   sources, data.entity().cache_id(), data.fingerprint());
 }
 
 void DecisionTree::SetTrainedSlots(const std::vector<FeatureMeta>& metas,
@@ -454,7 +451,8 @@ Status DecisionTree::TrainImpl(uint32_t num_classes,
                                uint32_t num_rows,
                                const std::vector<uint32_t>& rows,
                                const std::vector<CodeSource>& sources,
-                               const SuffStats* stats) {
+                               uint64_t stats_id,
+                               uint64_t stats_fingerprint) {
   num_classes_ = num_classes;
   split_slot_.clear();
   split_code_.clear();
@@ -472,8 +470,10 @@ Status DecisionTree::TrainImpl(uint32_t num_classes,
                     &split_slot_, &split_code_,   &left_,
                     &right_,      &scores_};
 
+  const SuffStats* stats = train_stats_.get();
   const SuffStats* root_stats =
-      RootStatsUsable(stats, num_classes, features_, cardinalities_)
+      stats != nullptr && stats->Describes(stats_id, stats_fingerprint, rows) &&
+              RootStatsUsable(*stats, num_classes, features_, cardinalities_)
           ? stats
           : nullptr;
   NodeWork root;

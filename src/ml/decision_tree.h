@@ -22,12 +22,12 @@
 /// those (the "subtraction trick"; exact, since counts are integers). A
 /// child that cannot split — at max_depth, under min_rows_split, or pure
 /// — gets no partition and no histograms, so under the depth-2 refit
-/// budget no depth-1 split scans a row. The root reuses cached SuffStats
-/// when present (materialized or factorized — the counts are
-/// bit-identical, see ml/factorized.h), so feature-selection searches
-/// that retrain hundreds of trees on one train split pay for the root
-/// histograms once. One walker serves both views' prediction the same
-/// way, computing each node's class once per batch.
+/// budget no depth-1 split scans a row. The root reads handed SuffStats
+/// when they describe the training rows (UseTrainStats; materialized or
+/// factorized — the counts are bit-identical, see ml/factorized.h), so
+/// feature-selection searches that retrain hundreds of trees on one train
+/// split pay for the root histograms once. One walker serves both views'
+/// prediction the same way, computing each node's class once per batch.
 ///
 /// Determinism contract (mirrors the rest of the library): histograms are
 /// integer counts, the best split is chosen by a serial reduction in
@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -95,20 +96,19 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
  public:
   explicit DecisionTree(DecisionTreeOptions options = {});
 
-  /// Trains on (rows, features) of the materialized dataset. If the
-  /// global SuffStatsCache already holds statistics for (data, rows) —
-  /// and no ScopedSuffStatsBypass is active — the root histograms are
-  /// taken from the cached counts without a data pass; the result is
-  /// bit-identical either way (integer counts).
+  /// Trains on (rows, features) of the materialized dataset. When
+  /// statistics handed through UseTrainStats describe (data, rows), the
+  /// root histograms are taken from their counts without a data pass; the
+  /// result is bit-identical either way (integer counts).
   Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
                const std::vector<uint32_t>& features) override;
 
   /// Trains over the normalized (S, R) view: each foreign slot's code is
   /// read in place through its FK -> R hop (FactorizedDataset::
   /// code_source), so no column is gathered, and the root histograms
-  /// reuse cached factorized SuffStats — whose counts come from the
-  /// group-by-FK-code aggregation, never a materialized join.
-  /// Bit-identical to Train on the joined twin.
+  /// read handed factorized SuffStats when they describe (data, rows) —
+  /// their counts come from the group-by-FK-code aggregation, never a
+  /// materialized join. Bit-identical to Train on the joined twin.
   Status TrainFactorized(const FactorizedDataset& data,
                          const std::vector<uint32_t>& rows,
                          const std::vector<uint32_t>& features) override;
@@ -127,6 +127,11 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
 
   /// Caps every later Train at options().candidate_max_depth.
   void UseRefitBudget() override { refit_budget_ = true; }
+
+  bool ReadsTrainStats() const override { return true; }
+  void UseTrainStats(std::shared_ptr<const SuffStats> stats) override {
+    train_stats_ = std::move(stats);
+  }
 
   /// Per-class log-scores of `row`'s leaf, written into `*out` (resized
   /// to num_classes) — the serving layer's batched scoring hook, same
@@ -160,11 +165,12 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
   void SetTrainedSlots(const std::vector<FeatureMeta>& metas,
                        const std::vector<uint32_t>& features);
   /// The one trainer both views share: reads trained slot jj's codes in
-  /// place through sources[jj] and labels by row id.
+  /// place through sources[jj] and labels by row id. `stats_id` and
+  /// `stats_fingerprint` identify the view for the handed statistics.
   Status TrainImpl(uint32_t num_classes, const std::vector<uint32_t>& labels,
                    uint32_t num_rows, const std::vector<uint32_t>& rows,
-                   const std::vector<CodeSource>& sources,
-                   const SuffStats* stats);
+                   const std::vector<CodeSource>& sources, uint64_t stats_id,
+                   uint64_t stats_fingerprint);
   /// The one walker: root to `row`'s leaf, slot codes via source_of(slot).
   template <typename SourceOf>
   int32_t LeafOf(const SourceOf& source_of, uint32_t row) const;
@@ -175,6 +181,7 @@ class DecisionTree : public Classifier, public FactorizedTrainable {
 
   DecisionTreeOptions options_;
   bool refit_budget_ = false;
+  std::shared_ptr<const SuffStats> train_stats_;  // See UseTrainStats.
   uint32_t num_classes_ = 0;
   std::vector<uint32_t> features_;       // Trained slot -> feature index.
   std::vector<uint32_t> cardinalities_;  // Per slot.

@@ -19,6 +19,12 @@ obs::Counter& FactorizedBuildsCounter() {
   return counter;
 }
 
+obs::Histogram& StatsBuildHistogram() {
+  static obs::Histogram& histogram =
+      obs::MetricsRegistry::Global().GetHistogram("fs.stats_build_ns");
+  return histogram;
+}
+
 obs::Histogram& FactorizedGroupHistogram() {
   static obs::Histogram& histogram =
       obs::MetricsRegistry::Global().GetHistogram("fs.factorized_group_ns");
@@ -68,7 +74,6 @@ Result<FactorizedDataset> FactorizedDataset::Make(
   std::unordered_set<std::string> taken;
   for (const ColumnSpec& spec : s.schema().columns()) taken.insert(spec.name);
 
-  uint64_t secondary = kFnvBasis;
   uint64_t fingerprint = kFnvBasis;
   for (const std::string& fk_name : fks_to_factorize) {
     HAMLET_ASSIGN_OR_RETURN(uint32_t fk_idx, s.schema().IndexOf(fk_name));
@@ -135,9 +140,6 @@ Result<FactorizedDataset> FactorizedDataset::Make(
           relation_index, static_cast<uint32_t>(rel.columns.size() - 1)});
     }
 
-    secondary = FnvMixString(secondary, rel.table_name);
-    secondary = FnvMix(secondary, r->num_rows());
-    secondary = FnvMix(secondary, rel.columns.size());
     fingerprint = FnvMixString(fingerprint, fk_name);
     for (uint32_t v : rel.fk_to_rrow) fingerprint = FnvMix(fingerprint, v);
     for (const FeatureMeta& m : rel.metas) {
@@ -146,13 +148,11 @@ Result<FactorizedDataset> FactorizedDataset::Make(
     out.relations_.push_back(std::move(rel));
   }
 
-  out.key_.primary = out.entity_.cache_id();
   if (!out.relations_.empty()) {
-    // Nonzero by construction so factorized keys and statistics can never
-    // be mistaken for materialized ones; zero relations degenerate to the
-    // entity's own key on purpose (the statistics coincide).
-    out.key_.secondary = secondary == 0 ? 1 : secondary;
-    out.key_.fingerprint = fingerprint == 0 ? 1 : fingerprint;
+    // Nonzero by construction so factorized statistics can never be
+    // mistaken for materialized ones; zero relations degenerate to the
+    // entity's own identity on purpose (the statistics coincide).
+    out.fingerprint_ = fingerprint == 0 ? 1 : fingerprint;
   }
   return out;
 }
@@ -221,9 +221,10 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
                                    const std::vector<uint32_t>& rows,
                                    uint32_t num_threads) {
   FactorizedBuildsCounter().Add(1);
+  obs::ScopedLatency build_latency(StatsBuildHistogram());
   SuffStats stats;
-  stats.dataset_id = data.cache_key().primary;
-  stats.fingerprint = data.cache_key().fingerprint;
+  stats.dataset_id = data.entity().cache_id();
+  stats.fingerprint = data.fingerprint();
   stats.num_classes = data.num_classes();
   stats.rows = rows;
 
@@ -308,16 +309,6 @@ SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
     }
   });
   return stats;
-}
-
-std::shared_ptr<const SuffStats> GetOrBuildFactorizedSuffStats(
-    const FactorizedDataset& data, const std::vector<uint32_t>& rows,
-    uint32_t num_threads) {
-  return SuffStatsCache::Global().GetOrBuildKeyed(
-      data.cache_key(), rows, [&] {
-        return std::make_shared<const SuffStats>(
-            BuildFactorizedSuffStats(data, rows, num_threads));
-      });
 }
 
 std::unique_ptr<NbSubsetEvaluator> MakeFactorizedNbEvaluator(

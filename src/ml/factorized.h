@@ -154,11 +154,12 @@ class FactorizedDataset {
   /// S's FK codes for relation k (entity feature column or stored copy).
   const std::vector<uint32_t>& fk_codes(size_t k) const;
 
-  /// Composite cache identity: {entity cache id, attribute-side hash,
-  /// remap fingerprint}. With zero factorized relations this degenerates
-  /// to the entity's materialized key — correctly, since the statistics
-  /// coincide.
-  const SuffStatsKey& cache_key() const { return key_; }
+  /// FK remap fingerprint: with entity().cache_id() it identifies the
+  /// view's statistics (SuffStats::dataset_id, SuffStats::fingerprint).
+  /// Nonzero whenever a relation is factorized, so factorized statistics
+  /// are never mistaken for the entity's own; zero relations degenerate
+  /// to the entity's identity on purpose, since the statistics coincide.
+  uint64_t fingerprint() const { return fingerprint_; }
 
  private:
   /// Where feature j's codes live: relation < 0 -> entity_.feature(j);
@@ -172,7 +173,7 @@ class FactorizedDataset {
   std::vector<FactorizedRelation> relations_;
   std::vector<FeatureRef> refs_;   // Parallel to metas_.
   std::vector<FeatureMeta> metas_;
-  SuffStatsKey key_;
+  uint64_t fingerprint_ = 0;
 };
 
 /// Sufficient statistics of (data, rows) computed without materializing
@@ -183,16 +184,11 @@ class FactorizedDataset {
 /// reordering is over integer additions, so the result is bit-identical
 /// to BuildSuffStats(FromTableAuto(JoinSubset(...)), rows) at any thread
 /// count. Records the fs.factorized_builds counter and the
-/// fs.factorized_group_ns / fs.factorized_scatter_ns histograms.
+/// fs.stats_build_ns / fs.factorized_group_ns / fs.factorized_scatter_ns
+/// histograms.
 SuffStats BuildFactorizedSuffStats(const FactorizedDataset& data,
                                    const std::vector<uint32_t>& rows,
                                    uint32_t num_threads = 0);
-
-/// Cached variant through SuffStatsCache::GetOrBuildKeyed under
-/// data.cache_key(); nullptr while a ScopedSuffStatsBypass is active.
-std::shared_ptr<const SuffStats> GetOrBuildFactorizedSuffStats(
-    const FactorizedDataset& data, const std::vector<uint32_t>& rows,
-    uint32_t num_threads = 0);
 
 /// An NbSubsetEvaluator whose evaluation codes are gathered through the
 /// FK hops — identical inputs to the materialized evaluator, so every

@@ -18,12 +18,12 @@ Status NaiveBayes::Train(const EncodedDataset& data,
   if (rows.empty()) {
     return Status::InvalidArgument("cannot train Naive Bayes on zero rows");
   }
-  // If sufficient statistics for this (dataset, row subset) are already
-  // cached, derive the model from the counts instead of rescanning; the
-  // doubles are identical (same counts, same expressions).
-  if (std::shared_ptr<const SuffStats> stats =
-          SuffStatsCache::Global().Peek(data, rows)) {
-    return TrainFromStats(*stats, features);
+  // Handed statistics of this (dataset, row subset) give the model from
+  // the counts instead of a rescan; the doubles are identical (same
+  // counts, same expressions).
+  if (train_stats_ != nullptr &&
+      train_stats_->Describes(data.cache_id(), 0, rows)) {
+    return TrainFromStats(*train_stats_, features);
   }
   num_classes_ = data.num_classes();
   features_ = features;

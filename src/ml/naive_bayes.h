@@ -6,6 +6,8 @@
 /// classifier (Sections 4–5). Smoothing implements the standard handling
 /// of RID values absent from a given training sample (footnote 2).
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "ml/classifier.h"
@@ -35,10 +37,10 @@ class NaiveBayes : public Classifier {
   /// `alpha` is the Laplace smoothing pseudo-count (> 0).
   explicit NaiveBayes(double alpha = 1.0);
 
-  /// Trains on (rows, features). If the global SuffStatsCache already
-  /// holds statistics for (data, rows) — and no ScopedSuffStatsBypass is
-  /// active — the model is derived from the cached counts without
-  /// rescanning the data; the result is bit-identical either way.
+  /// Trains on (rows, features). When statistics handed through
+  /// UseTrainStats describe (data, rows), the model is derived from their
+  /// counts without rescanning the data; the result is bit-identical
+  /// either way.
   Status Train(const EncodedDataset& data, const std::vector<uint32_t>& rows,
                const std::vector<uint32_t>& features) override;
 
@@ -55,6 +57,11 @@ class NaiveBayes : public Classifier {
       const std::vector<uint32_t>& rows) const override;
 
   std::string name() const override { return "naive_bayes"; }
+
+  bool ReadsTrainStats() const override { return true; }
+  void UseTrainStats(std::shared_ptr<const SuffStats> stats) override {
+    train_stats_ = std::move(stats);
+  }
 
   /// Posterior class log-scores for one row (unnormalized); exposed for
   /// tests and the bias-variance machinery.
@@ -98,6 +105,7 @@ class NaiveBayes : public Classifier {
 
  private:
   double alpha_;
+  std::shared_ptr<const SuffStats> train_stats_;  // See UseTrainStats.
   uint32_t num_classes_ = 0;
   std::vector<uint32_t> features_;       // Trained feature indices.
   std::vector<double> log_priors_;       // [y]

@@ -1,7 +1,6 @@
 #include "ml/suff_stats.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/check.h"
@@ -12,45 +11,11 @@ namespace hamlet {
 
 namespace {
 
-obs::Counter& CacheHitsCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("fs.cache_hits");
-  return counter;
-}
-
-obs::Counter& CacheMissesCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("fs.cache_misses");
-  return counter;
-}
-
 obs::Histogram& StatsBuildHistogram() {
   static obs::Histogram& histogram =
       obs::MetricsRegistry::Global().GetHistogram("fs.stats_build_ns");
   return histogram;
 }
-
-// FNV-1a over the row indices; the cache verifies candidates with an
-// exact vector comparison, so the hash only needs to be a good filter.
-// Every lookup hashes its rows, and one lane's multiply chain would
-// serialize the pass, so four interleaved lanes are folded at the end.
-uint64_t HashRows(const std::vector<uint32_t>& rows) {
-  constexpr uint64_t kBasis = 0xCBF29CE484222325ULL;
-  constexpr uint64_t kPrime = 0x100000001B3ULL;
-  uint64_t lane[4] = {kBasis, kBasis + 1, kBasis + 2, kBasis + 3};
-  const size_t n = rows.size();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t k = 0; k < 4; ++k) lane[k] = (lane[k] ^ rows[i + k]) * kPrime;
-  }
-  for (; i < n; ++i) lane[0] = (lane[0] ^ rows[i]) * kPrime;
-  uint64_t h = kBasis;
-  for (uint64_t value : lane) h = (h ^ value) * kPrime;
-  return (h ^ n) * kPrime;
-}
-
-// Depth of active ScopedSuffStatsBypass guards (process-wide).
-std::atomic<int> g_bypass_depth{0};
 
 // Per-thread scratch for the Eval* hot paths: reused across calls so a
 // candidate evaluation allocates nothing after warm-up. Pool workers are
@@ -63,6 +28,7 @@ thread_local std::vector<double> t_scores;
 SuffStats BuildSuffStats(const EncodedDataset& data,
                          const std::vector<uint32_t>& rows,
                          uint32_t num_threads) {
+  obs::ScopedLatency latency(StatsBuildHistogram());
   SuffStats stats;
   stats.dataset_id = data.cache_id();
   stats.num_classes = data.num_classes();
@@ -92,134 +58,6 @@ SuffStats BuildSuffStats(const EncodedDataset& data,
     }
   });
   return stats;
-}
-
-SuffStatsCache& SuffStatsCache::Global() {
-  static SuffStatsCache* cache = new SuffStatsCache();
-  return *cache;
-}
-
-bool SuffStatsCache::Bypassed() {
-  return g_bypass_depth.load(std::memory_order_relaxed) > 0;
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::FindLocked(
-    const SuffStatsKey& key, uint64_t rows_hash,
-    const std::vector<uint32_t>& rows) const {
-  for (Entry& entry : entries_) {
-    if (entry.key == key && entry.rows_hash == rows_hash &&
-        entry.stats->rows == rows) {
-      entry.last_used = ++tick_;
-      return entry.stats;
-    }
-  }
-  return nullptr;
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::Find(
-    const SuffStatsKey& key, uint64_t rows_hash,
-    const std::vector<uint32_t>& rows) const {
-  // Holding the shared_ptr copies keeps the statistics alive even if a
-  // concurrent insert evicts them before the compare below. A hash
-  // collision bumps an entry the compare then rejects; that only
-  // reorders eviction.
-  std::vector<std::shared_ptr<const SuffStats>> candidates;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Entry& entry : entries_) {
-      if (entry.key == key && entry.rows_hash == rows_hash) {
-        entry.last_used = ++tick_;
-        candidates.push_back(entry.stats);
-      }
-    }
-  }
-  for (std::shared_ptr<const SuffStats>& stats : candidates) {
-    if (stats->rows == rows) return std::move(stats);
-  }
-  return nullptr;
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::Peek(
-    const EncodedDataset& data, const std::vector<uint32_t>& rows) const {
-  return PeekKeyed(SuffStatsKey{data.cache_id(), 0, 0}, rows);
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::PeekKeyed(
-    const SuffStatsKey& key, const std::vector<uint32_t>& rows) const {
-  if (Bypassed()) return nullptr;
-  std::shared_ptr<const SuffStats> found = Find(key, HashRows(rows), rows);
-  if (found != nullptr) CacheHitsCounter().Add(1);
-  return found;
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::GetOrBuild(
-    const EncodedDataset& data, const std::vector<uint32_t>& rows,
-    uint32_t num_threads) {
-  return GetOrBuildKeyed(SuffStatsKey{data.cache_id(), 0, 0}, rows, [&] {
-    return std::make_shared<const SuffStats>(
-        BuildSuffStats(data, rows, num_threads));
-  });
-}
-
-std::shared_ptr<const SuffStats> SuffStatsCache::GetOrBuildKeyed(
-    const SuffStatsKey& key, const std::vector<uint32_t>& rows,
-    const std::function<std::shared_ptr<const SuffStats>()>& build) {
-  if (Bypassed()) return nullptr;
-  const uint64_t hash = HashRows(rows);
-  if (std::shared_ptr<const SuffStats> found = Find(key, hash, rows)) {
-    CacheHitsCounter().Add(1);
-    return found;
-  }
-
-  // Build outside the lock — a concurrent builder of a different key must
-  // not serialize behind this pass.
-  CacheMissesCounter().Add(1);
-  std::shared_ptr<const SuffStats> built;
-  {
-    obs::ScopedLatency latency(StatsBuildHistogram());
-    built = build();
-  }
-  if (built == nullptr) return nullptr;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  // Another thread may have inserted the same key while we built.
-  std::shared_ptr<const SuffStats> raced = FindLocked(key, hash, rows);
-  if (raced != nullptr) return raced;
-  if (entries_.size() >= capacity_ && !entries_.empty()) {
-    size_t lru = 0;
-    for (size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].last_used < entries_[lru].last_used) lru = i;
-    }
-    entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(lru));
-  }
-  entries_.push_back(Entry{key, hash, ++tick_, built});
-  return built;
-}
-
-void SuffStatsCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
-void SuffStatsCache::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = std::max<size_t>(1, capacity);
-  while (entries_.size() > capacity_) {
-    size_t lru = 0;
-    for (size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].last_used < entries_[lru].last_used) lru = i;
-    }
-    entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(lru));
-  }
-}
-
-ScopedSuffStatsBypass::ScopedSuffStatsBypass(bool enable)
-    : enabled_(enable) {
-  if (enabled_) g_bypass_depth.fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedSuffStatsBypass::~ScopedSuffStatsBypass() {
-  if (enabled_) g_bypass_depth.fetch_sub(1, std::memory_order_relaxed);
 }
 
 namespace {

@@ -15,8 +15,13 @@
 /// Determinism contract: counts are integers, so the parallel build is
 /// bit-for-bit identical at any thread count, and every model or score
 /// derived from the statistics equals its scan-path twin exactly (same
-/// counts, same floating-point expressions). The cache can therefore
-/// never change a result — only how fast it is computed.
+/// counts, same floating-point expressions). Statistics have one owner:
+/// the feature-selection search (fs/candidate_eval.h) or the Monte Carlo
+/// draw that built them, which hands them to the models it trains
+/// (Classifier::UseTrainStats). Nothing caches them process-wide, so
+/// whether a model counts from codes or reads counts is decided by its
+/// caller alone — and never changes a result, only how fast it is
+/// computed.
 ///
 /// NbSubsetEvaluator adds the second half of the fast path: it keeps
 /// per-row, per-class base log-scores of the current subset on an
@@ -27,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "data/encoded_dataset.h"
@@ -54,124 +58,25 @@ struct SuffStats {
   std::vector<std::vector<uint64_t>> feature_counts;
 
   uint64_t num_rows() const { return rows.size(); }
-};
 
-/// Composite cache identity of one statistics source. Materialized
-/// datasets use {cache_id, 0, 0}. The factorized path sets all three
-/// components — entity-side cache id, a hash of the attribute-table
-/// identities, and the remap fingerprint — so a cached materialized entry
-/// can never alias a normalized (S, R) pair even though both key on the
-/// same entity dataset.
-struct SuffStatsKey {
-  uint64_t primary = 0;      ///< Entity-side EncodedDataset::cache_id().
-  uint64_t secondary = 0;    ///< Attribute-side identity hash (0 = none).
-  uint64_t fingerprint = 0;  ///< FK remap fingerprint (0 = materialized).
-
-  bool operator==(const SuffStatsKey& other) const {
-    return primary == other.primary && secondary == other.secondary &&
-           fingerprint == other.fingerprint;
+  /// True when these statistics describe exactly the source identified by
+  /// (`id`, `source_fingerprint`) restricted to `train_rows` — the check
+  /// every model runs before it trains from handed statistics, so a
+  /// mismatched hand-off falls back to counting from the codes.
+  bool Describes(uint64_t id, uint64_t source_fingerprint,
+                 const std::vector<uint32_t>& train_rows) const {
+    return dataset_id == id && fingerprint == source_fingerprint &&
+           rows == train_rows;
   }
 };
 
 /// One pass over `rows` of `data`: class counts serially (O(rows)), then
 /// per-feature count tables in parallel (one feature per work item), so
-/// the result is identical at any thread count.
+/// the result is identical at any thread count. Records the
+/// `fs.stats_build_ns` histogram.
 SuffStats BuildSuffStats(const EncodedDataset& data,
                          const std::vector<uint32_t>& rows,
                          uint32_t num_threads = 0);
-
-/// Process-wide LRU cache of sufficient statistics keyed by
-/// (dataset cache_id, row-subset hash), with exact row-vector verification
-/// on hit. GetOrBuild is what the feature selection searches and the
-/// Monte Carlo inner loop call once per (dataset, train split); Peek is
-/// the zero-build lookup NaiveBayes::Train uses so that *any* later
-/// training on the same split becomes lookups.
-///
-/// Observability: builds record the `fs.stats_build_ns` histogram and the
-/// `fs.cache_misses` counter; hits (GetOrBuild and Peek alike) bump
-/// `fs.cache_hits`.
-class SuffStatsCache {
- public:
-  static SuffStatsCache& Global();
-
-  /// Returns the cached statistics for (data, rows), building and
-  /// inserting them on miss. Returns nullptr while a ScopedSuffStatsBypass
-  /// is active (the escape hatch that forces every scan path).
-  std::shared_ptr<const SuffStats> GetOrBuild(
-      const EncodedDataset& data, const std::vector<uint32_t>& rows,
-      uint32_t num_threads = 0);
-
-  /// Returns the cached statistics or nullptr; never builds. nullptr while
-  /// bypassed. Matches only materialized entries (secondary and
-  /// fingerprint both 0), so a factorized build over the same entity
-  /// dataset is never returned here.
-  std::shared_ptr<const SuffStats> Peek(
-      const EncodedDataset& data, const std::vector<uint32_t>& rows) const;
-
-  /// Keyed variants for sources that are not a single EncodedDataset
-  /// (ml/factorized.h). GetOrBuildKeyed calls `build` on miss — outside
-  /// the lock — and records the same hit/miss/build-latency probes as
-  /// GetOrBuild. Both return nullptr while bypassed.
-  std::shared_ptr<const SuffStats> GetOrBuildKeyed(
-      const SuffStatsKey& key, const std::vector<uint32_t>& rows,
-      const std::function<std::shared_ptr<const SuffStats>()>& build);
-  std::shared_ptr<const SuffStats> PeekKeyed(
-      const SuffStatsKey& key, const std::vector<uint32_t>& rows) const;
-
-  /// Drops every entry (tests; also frees memory between workloads).
-  void Clear();
-
-  /// Maximum retained entries (least-recently-used eviction). Default 16.
-  void set_capacity(size_t capacity);
-
-  /// True while a ScopedSuffStatsBypass is alive anywhere in the process.
-  static bool Bypassed();
-
- private:
-  SuffStatsCache() = default;
-
-  struct Entry {
-    SuffStatsKey key;
-    uint64_t rows_hash = 0;
-    uint64_t last_used = 0;
-    std::shared_ptr<const SuffStats> stats;
-  };
-
-  /// Lookup for the hit paths: matches key and row hash under the lock,
-  /// then compares the O(|rows|) row vector after releasing it, so
-  /// concurrent lookups do not serialize on the compare.
-  std::shared_ptr<const SuffStats> Find(
-      const SuffStatsKey& key, uint64_t rows_hash,
-      const std::vector<uint32_t>& rows) const;
-  /// Exact lookup with mu_ held — the insert path's race re-check.
-  std::shared_ptr<const SuffStats> FindLocked(
-      const SuffStatsKey& key, uint64_t rows_hash,
-      const std::vector<uint32_t>& rows) const;
-
-  mutable std::mutex mu_;
-  mutable uint64_t tick_ = 0;
-  size_t capacity_ = 16;
-  mutable std::vector<Entry> entries_;
-};
-
-/// RAII test and benchmark facility: while alive (and constructed with
-/// enable=true), every SuffStatsCache lookup misses and nothing is
-/// cached, so all training and scoring takes the scan paths — the
-/// reference the cached-vs-scan equivalence tests compare against.
-/// Process-wide and nestable, so no library code opens one:
-/// PipelineConfig::force_scan_eval reaches the search through
-/// MakeSelector instead.
-class ScopedSuffStatsBypass {
- public:
-  explicit ScopedSuffStatsBypass(bool enable = true);
-  ~ScopedSuffStatsBypass();
-
-  ScopedSuffStatsBypass(const ScopedSuffStatsBypass&) = delete;
-  ScopedSuffStatsBypass& operator=(const ScopedSuffStatsBypass&) = delete;
-
- private:
-  bool enabled_;
-};
 
 /// Incremental Naive Bayes subset scorer over a fixed evaluation split.
 ///

@@ -36,7 +36,9 @@ struct StageNode {
     ++count;
     total_seconds += event.Seconds();
     for (const TraceAttr& attr : event.attrs) {
-      if (!attr.is_number) continue;
+      // Counts sum; an identifier names one span and means nothing
+      // summed, so the merged stage leaves it out.
+      if (!attr.is_number || attr.kind == AttrKind::kId) continue;
       auto it = std::find_if(
           numeric_attrs.begin(), numeric_attrs.end(),
           [&](const auto& entry) { return entry.first == attr.key; });

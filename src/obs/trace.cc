@@ -78,12 +78,13 @@ TraceSpan::~TraceSpan() {
   Tracer::Global().Record(std::move(event));
 }
 
-void TraceSpan::AddAttr(const char* key, int64_t value) {
+void TraceSpan::AddAttr(const char* key, int64_t value, AttrKind kind) {
   if (!active_) return;
   TraceAttr attr;
   attr.key = key;
   attr.number = value;
   attr.is_number = true;
+  attr.kind = kind;
   attrs_.push_back(std::move(attr));
 }
 

@@ -48,14 +48,23 @@ uint64_t NowNanos();
 /// propagated trace context — until the task opens spans of its own.
 uint64_t CurrentSpanId();
 
+/// What a numeric span attribute is, declared where it is added: it
+/// decides how the explain tree and the JSONL `stages` digest fold
+/// same-name spans into one stage.
+enum class AttrKind {
+  kCount,  ///< Summed across merged spans (candidates, rows, ...).
+  kId,     ///< Names one span (a repeat index, a shard); never merged.
+};
+
 /// One key/value annotation on a span. Numbers keep their numeric form
-/// so the explain tree can sum them across merged spans (e.g. candidates
-/// evaluated per greedy step → total candidates).
+/// so the explain tree can sum counts across merged spans (e.g.
+/// candidates evaluated per greedy step → total candidates).
 struct TraceAttr {
   std::string key;
   std::string text;    ///< Display/JSON form when !is_number.
   int64_t number = 0;  ///< Value when is_number.
   bool is_number = false;
+  AttrKind kind = AttrKind::kCount;  ///< Meaningful when is_number.
 };
 
 /// A completed span, as stored by the Tracer.
@@ -129,13 +138,17 @@ class TraceSpan {
   bool active() const { return active_; }
 
   /// Attach a key/value attribute (no-ops when inactive). `key` must
-  /// outlive the span.
-  void AddAttr(const char* key, int64_t value);
-  void AddAttr(const char* key, uint64_t value) {
-    AddAttr(key, static_cast<int64_t>(value));
+  /// outlive the span. A numeric attribute is a count unless the call
+  /// declares it an identifier (AttrKind::kId).
+  void AddAttr(const char* key, int64_t value,
+               AttrKind kind = AttrKind::kCount);
+  void AddAttr(const char* key, uint64_t value,
+               AttrKind kind = AttrKind::kCount) {
+    AddAttr(key, static_cast<int64_t>(value), kind);
   }
-  void AddAttr(const char* key, uint32_t value) {
-    AddAttr(key, static_cast<int64_t>(value));
+  void AddAttr(const char* key, uint32_t value,
+               AttrKind kind = AttrKind::kCount) {
+    AddAttr(key, static_cast<int64_t>(value), kind);
   }
   void AddAttr(const char* key, const std::string& value);
 

@@ -227,118 +227,83 @@ void ArtifactStore::CacheInsert(const std::string& name, uint32_t version,
                       std::move(value));
 }
 
+Status ArtifactStore::Missing(const std::string& name, uint32_t version) const {
+  return Status::NotFound(StringFormat("artifact '%s' v%u not found in '%s'",
+                                       name.c_str(), version, root_.c_str()));
+}
+
+Result<std::string> ArtifactStore::ReadArtifact(const std::string& name,
+                                                uint32_t version) const {
+  Result<std::string> bytes = ReadFileBytes(PathFor(name, version));
+  if (!bytes.ok()) return Missing(name, version);
+  return bytes;
+}
+
+template <typename T>
+Result<std::shared_ptr<const T>> ArtifactStore::GetCached(
+    const std::string& name, uint32_t version, ArtifactKind kind,
+    Result<T> (*deserialize)(std::string_view)) {
+  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
+  if (std::shared_ptr<const void> hit = CacheLookup(name, v, kind)) {
+    return std::static_pointer_cast<const T>(hit);
+  }
+  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadArtifact(name, v));
+  HAMLET_ASSIGN_OR_RETURN(T artifact, deserialize(bytes));
+  auto value = std::make_shared<const T>(std::move(artifact));
+  CacheInsert(name, v, kind, value);
+  return value;
+}
+
 Result<std::shared_ptr<const EncodedDataset>> ArtifactStore::GetDataset(
     const std::string& name, uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kEncodedDataset)) {
-    return std::static_pointer_cast<const EncodedDataset>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(EncodedDataset data, DeserializeDataset(*bytes));
-  auto value = std::make_shared<const EncodedDataset>(std::move(data));
-  CacheInsert(name, v, ArtifactKind::kEncodedDataset, value);
-  return value;
+  return GetCached(name, version, ArtifactKind::kEncodedDataset,
+                   &DeserializeDataset);
 }
 
 Result<std::shared_ptr<const NaiveBayes>> ArtifactStore::GetNaiveBayes(
     const std::string& name, uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kNaiveBayes)) {
-    return std::static_pointer_cast<const NaiveBayes>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(NaiveBayes model, DeserializeNaiveBayes(*bytes));
-  auto value = std::make_shared<const NaiveBayes>(std::move(model));
-  CacheInsert(name, v, ArtifactKind::kNaiveBayes, value);
-  return value;
+  return GetCached(name, version, ArtifactKind::kNaiveBayes,
+                   &DeserializeNaiveBayes);
 }
 
 Result<std::shared_ptr<const LogisticRegression>>
 ArtifactStore::GetLogisticRegression(const std::string& name,
                                      uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kLogisticRegression)) {
-    return std::static_pointer_cast<const LogisticRegression>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(LogisticRegression model,
-                          DeserializeLogisticRegression(*bytes));
-  auto value = std::make_shared<const LogisticRegression>(std::move(model));
-  CacheInsert(name, v, ArtifactKind::kLogisticRegression, value);
-  return value;
+  return GetCached(name, version, ArtifactKind::kLogisticRegression,
+                   &DeserializeLogisticRegression);
 }
 
 Result<std::shared_ptr<const DecisionTree>> ArtifactStore::GetDecisionTree(
     const std::string& name, uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kDecisionTree)) {
-    return std::static_pointer_cast<const DecisionTree>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(DecisionTree model, DeserializeDecisionTree(*bytes));
-  auto value = std::make_shared<const DecisionTree>(std::move(model));
-  CacheInsert(name, v, ArtifactKind::kDecisionTree, value);
-  return value;
+  return GetCached(name, version, ArtifactKind::kDecisionTree,
+                   &DeserializeDecisionTree);
 }
 
 Result<std::shared_ptr<const Gbt>> ArtifactStore::GetGbt(
     const std::string& name, uint32_t version) {
-  HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  if (std::shared_ptr<const void> hit =
-          CacheLookup(name, v, ArtifactKind::kGradientBoostedTrees)) {
-    return std::static_pointer_cast<const Gbt>(hit);
-  }
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  HAMLET_ASSIGN_OR_RETURN(Gbt model, DeserializeGbt(*bytes));
-  auto value = std::make_shared<const Gbt>(std::move(model));
-  CacheInsert(name, v, ArtifactKind::kGradientBoostedTrees, value);
-  return value;
+  return GetCached(name, version, ArtifactKind::kGradientBoostedTrees,
+                   &DeserializeGbt);
 }
 
 Result<FsRunReport> ArtifactStore::GetFsRunReport(const std::string& name,
                                                   uint32_t version) {
   HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
-  Result<std::string> bytes = ReadFileBytes(PathFor(name, v));
-  if (!bytes.ok()) {
-    return Status::NotFound(
-        StringFormat("artifact '%s' v%u not found in '%s'", name.c_str(), v,
-                     root_.c_str()));
-  }
-  return DeserializeFsRunReport(*bytes);
+  HAMLET_ASSIGN_OR_RETURN(std::string bytes, ReadArtifact(name, v));
+  return DeserializeFsRunReport(bytes);
 }
 
 Result<ArtifactKind> ArtifactStore::KindOf(const std::string& name,
                                            uint32_t version) const {
   HAMLET_ASSIGN_OR_RETURN(uint32_t v, ResolveVersion(name, version));
+  {
+    // A cached artifact already knows its kind: no file access at all.
+    std::shared_lock<std::shared_mutex> lock(cache_mu_);
+    for (const CacheEntry& entry : cache_) {
+      if (entry.version == v && entry.name == name) return entry.kind;
+    }
+  }
+  std::error_code ec;
+  if (!fs::exists(PathFor(name, v), ec)) return Missing(name, v);
   return PeekKind(PathFor(name, v));
 }
 

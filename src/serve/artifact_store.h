@@ -13,11 +13,12 @@
 /// grow; version 0 (kLatest) means "the highest version present".
 ///
 /// Deserialized datasets and models are held in a small in-memory LRU
-/// keyed by (name, resolved version) — the same eviction pattern as
-/// ml/suff_stats.h's SuffStatsCache — so a scoring service resolving the
-/// same model per request pays the disk + decode cost once. Cache hits
-/// and misses surface as the `serve.model_cache_hits` /
-/// `serve.model_cache_misses` counters when obs collection is enabled.
+/// keyed by (name, resolved version, kind), so a scoring service
+/// resolving the same model per request pays the disk + decode cost once.
+/// The LRU belongs to this store instance; nothing in it is
+/// process-wide. Cache hits and misses surface as the
+/// `serve.model_cache_hits` / `serve.model_cache_misses` counters when
+/// obs collection is enabled.
 ///
 /// Concurrency: the cache hit path takes a SHARED lock only — hits
 /// update recency via relaxed atomics, so any number of scoring shards
@@ -39,6 +40,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/serde.h"
@@ -101,7 +103,10 @@ class ArtifactStore {
   /// Highest stored version of `name`; NotFound when absent.
   Result<uint32_t> LatestVersion(const std::string& name) const;
 
-  /// Artifact kind of (name, version) from the file header (cheap probe).
+  /// Artifact kind of (name, version): from the deserialized-artifact
+  /// LRU when it holds the artifact (no file access, no hit or miss
+  /// counted), otherwise from the file header (cheap probe). NotFound
+  /// when the version does not exist.
   Result<ArtifactKind> KindOf(const std::string& name,
                               uint32_t version = kLatest) const;
 
@@ -154,6 +159,19 @@ class ArtifactStore {
       return *this;
     }
   };
+
+  /// The one read path behind every cached Get: resolve the version,
+  /// consult the LRU, and on a miss load + verify + deserialize and
+  /// insert.
+  template <typename T>
+  Result<std::shared_ptr<const T>> GetCached(
+      const std::string& name, uint32_t version, ArtifactKind kind,
+      Result<T> (*deserialize)(std::string_view));
+
+  /// The file bytes of (name, version); NotFound when unreadable.
+  Result<std::string> ReadArtifact(const std::string& name,
+                                   uint32_t version) const;
+  Status Missing(const std::string& name, uint32_t version) const;
 
   /// Serialize-agnostic write path shared by every Put.
   Result<uint32_t> PutBytes(const std::string& name,

@@ -297,40 +297,37 @@ struct HamletService::Impl {
                                          p.request.options));
   }
 
-  /// Tries each servable model kind in turn; a kind-mismatch means "try
-  /// the next kind", any other failure is final.
+  /// Learns the model's kind once — from the store's cached entry, else
+  /// the file header — then makes exactly one typed Get. Any other kind
+  /// (a dataset, a report) goes to GetGbt, whose envelope check reports
+  /// the kKindMismatch every typed Get reports.
   Result<ResolvedModel> ResolveModel(const std::string& name,
                                      uint32_t version) {
-    Result<std::shared_ptr<const NaiveBayes>> nb =
-        store->GetNaiveBayes(name, version);
-    if (nb.ok()) {
-      return ResolvedModel{std::move(nb).ValueOrDie(), nullptr, nullptr,
-                           nullptr};
+    uint32_t v = version;
+    if (v == ArtifactStore::kLatest) {
+      HAMLET_ASSIGN_OR_RETURN(v, store->LatestVersion(name));
     }
-    if (SerdeErrorOf(nb.status()) != SerdeError::kKindMismatch) {
-      return nb.status();
+    HAMLET_ASSIGN_OR_RETURN(ArtifactKind kind, store->KindOf(name, v));
+    ResolvedModel model;
+    switch (kind) {
+      case ArtifactKind::kNaiveBayes: {
+        HAMLET_ASSIGN_OR_RETURN(model.nb, store->GetNaiveBayes(name, v));
+        return model;
+      }
+      case ArtifactKind::kLogisticRegression: {
+        HAMLET_ASSIGN_OR_RETURN(model.lr,
+                                store->GetLogisticRegression(name, v));
+        return model;
+      }
+      case ArtifactKind::kDecisionTree: {
+        HAMLET_ASSIGN_OR_RETURN(model.tree, store->GetDecisionTree(name, v));
+        return model;
+      }
+      default: {
+        HAMLET_ASSIGN_OR_RETURN(model.gbt, store->GetGbt(name, v));
+        return model;
+      }
     }
-    Result<std::shared_ptr<const LogisticRegression>> lr =
-        store->GetLogisticRegression(name, version);
-    if (lr.ok()) {
-      return ResolvedModel{nullptr, std::move(lr).ValueOrDie(), nullptr,
-                           nullptr};
-    }
-    if (SerdeErrorOf(lr.status()) != SerdeError::kKindMismatch) {
-      return lr.status();
-    }
-    Result<std::shared_ptr<const DecisionTree>> tree =
-        store->GetDecisionTree(name, version);
-    if (tree.ok()) {
-      return ResolvedModel{nullptr, nullptr, std::move(tree).ValueOrDie(),
-                           nullptr};
-    }
-    if (SerdeErrorOf(tree.status()) != SerdeError::kKindMismatch) {
-      return tree.status();
-    }
-    HAMLET_ASSIGN_OR_RETURN(std::shared_ptr<const Gbt> gbt,
-                            store->GetGbt(name, version));
-    return ResolvedModel{nullptr, nullptr, nullptr, std::move(gbt)};
   }
 
   /// Dispatcher-side resolution through the shard's warm cache. Only
@@ -384,7 +381,7 @@ struct HamletService::Impl {
     m.score_batches.Add();
     obs::TraceSpan span("serve.score");
     span.AddAttr("batch_requests", static_cast<uint64_t>(blocks.size()));
-    span.AddAttr("shard", shard_index);
+    span.AddAttr("shard", shard_index, obs::AttrKind::kId);
     const uint64_t start_ns = obs::Enabled() ? obs::NowNanos() : 0;
     if (start_ns != 0) {
       m.batch_size.RecordAlways(static_cast<uint64_t>(blocks.size()));

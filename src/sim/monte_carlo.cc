@@ -1,6 +1,7 @@
 #include "sim/monte_carlo.h"
 
 #include <array>
+#include <memory>
 #include <numeric>
 
 #include "common/parallel_for.h"
@@ -75,7 +76,7 @@ Status RunOneRepeat(const SimConfig& config,
   // When repeats run on pool workers this span roots at its thread; the
   // explain tree still groups every sim.repeat into one stage.
   obs::TraceSpan span("sim.repeat");
-  span.AddAttr("repeat", rep);
+  span.AddAttr("repeat", rep, obs::AttrKind::kId);
   span.AddAttr("training_sets", options.num_training_sets);
 
   Rng root(options.seed);
@@ -95,11 +96,9 @@ Status RunOneRepeat(const SimConfig& config,
   const std::vector<uint32_t> f_nojoin = generator.NoJoinFeatures();
   const std::vector<uint32_t> f_nofk = generator.NoFkFeatures();
 
-  // Probe the opaque factory once: the statistics reuse below only pays
-  // off for classifiers that can train from counts.
-  const bool nb_variants =
-      !SuffStatsCache::Bypassed() &&
-      dynamic_cast<NaiveBayes*>(make().get()) != nullptr;
+  // Probe the opaque factory once: the statistics below only pay off for
+  // classifiers that train from counts.
+  const bool reads_stats = make()->ReadsTrainStats();
 
   // Inner training-set loop, parallelized in blocks. Each block's draws
   // are taken serially in t order (preserving the exact RNG stream of a
@@ -129,11 +128,13 @@ Status RunOneRepeat(const SimConfig& config,
       std::vector<uint32_t> train_rows(train.data.num_rows());
       std::iota(train_rows.begin(), train_rows.end(), 0u);
 
-      // With Naive Bayes, one sufficient-statistics pass over the draw
-      // serves all three variant trainings (Train peeks the cache and
-      // derives the model from the counts — bit-identical either way).
-      if (nb_variants) {
-        SuffStatsCache::Global().GetOrBuild(train.data, train_rows, 1);
+      // One sufficient-statistics pass over the draw serves all three
+      // variant trainings, handed to each model (bit-identical to
+      // counting from the codes).
+      std::shared_ptr<const SuffStats> stats;
+      if (reads_stats) {
+        stats = std::make_shared<const SuffStats>(
+            BuildSuffStats(train.data, train_rows, 1));
       }
 
       // The test set shares the feature layout, so models trained on the
@@ -141,6 +142,7 @@ Status RunOneRepeat(const SimConfig& config,
       auto run_variant = [&](const std::vector<uint32_t>& feats,
                              std::vector<uint32_t>* out) -> Status {
         std::unique_ptr<Classifier> model = make();
+        model->UseTrainStats(stats);
         HAMLET_RETURN_NOT_OK(model->Train(train.data, train_rows, feats));
         SimModelsTrainedCounter().Add(1);
         *out = model->Predict(test.data, test_rows);

@@ -5,7 +5,9 @@
 /// running each path at num_threads ∈ {1, 2, 7, hardware} and comparing
 /// selections, scores, errors, and bias/variance decompositions with
 /// exact (==) equality against the serial run. It also pins that a
-/// running search changes no model trained beside it on another thread.
+/// running search changes no model trained beside it on another thread,
+/// and that two pipeline runs on two threads leave nothing behind for
+/// each other.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <future>
 #include <thread>
 
+#include "analytics/pipeline.h"
 #include "common/rng.h"
 #include "datasets/registry.h"
 #include "fs/exhaustive_search.h"
@@ -307,6 +310,56 @@ TEST(RefitBudgetDeterminismTest, ConcurrentFitsIgnoreARunningSearch) {
   ASSERT_TRUE(gbt_alone.Train(data, split.train, features).ok());
   ExpectSameTree(tree_during.ExportParams(), tree_alone.ExportParams());
   ExpectSameEnsemble(gbt_during.ExportParams(), gbt_alone.ExportParams());
+}
+
+// A factorized Naive Bayes pipeline and a force_scan_eval pipeline run
+// at once on two threads over one dataset. Each must equal its solo run
+// bit for bit: statistics belong to the run that built them, so neither
+// run can read the other's counts or be steered by its scan switch.
+TEST(PipelineDeterminismTest, ConcurrentRunsEqualTheirSoloRuns) {
+  NormalizedDataset dataset = *MakeDataset("Walmart", 0.02, 83);
+  PipelineConfig factorized;
+  factorized.method = FsMethod::kForwardSelection;
+  factorized.classifier = ClassifierKind::kNaiveBayes;
+  factorized.metric = *MetricForDataset("Walmart");
+  factorized.enable_join_avoidance = false;
+  factorized.avoid_materialization = true;
+  factorized.seed = 83;
+  PipelineConfig scan = factorized;
+  scan.avoid_materialization = false;
+  scan.force_scan_eval = true;
+
+  const Result<PipelineReport> factorized_solo =
+      RunPipeline(dataset, factorized);
+  const Result<PipelineReport> scan_solo = RunPipeline(dataset, scan);
+  ASSERT_TRUE(factorized_solo.ok()) << factorized_solo.status();
+  ASSERT_TRUE(scan_solo.ok()) << scan_solo.status();
+  ASSERT_TRUE(factorized_solo->factorized);
+  ASSERT_FALSE(scan_solo->factorized);
+
+  Result<PipelineReport> factorized_beside = Status::Internal("not run");
+  Result<PipelineReport> scan_beside = Status::Internal("not run");
+  std::thread other([&] { scan_beside = RunPipeline(dataset, scan); });
+  factorized_beside = RunPipeline(dataset, factorized);
+  other.join();
+  ASSERT_TRUE(factorized_beside.ok()) << factorized_beside.status();
+  ASSERT_TRUE(scan_beside.ok()) << scan_beside.status();
+
+  for (const auto& [solo, beside] :
+       {std::pair{&*factorized_solo, &*factorized_beside},
+        std::pair{&*scan_solo, &*scan_beside}}) {
+    EXPECT_EQ(beside->factorized, solo->factorized);
+    EXPECT_EQ(beside->selection.selected_names,
+              solo->selection.selected_names);
+    EXPECT_EQ(beside->selection.selection.selected,
+              solo->selection.selection.selected);
+    EXPECT_EQ(beside->selection.selection.validation_error,
+              solo->selection.selection.validation_error);
+    EXPECT_EQ(beside->selection.selection.models_trained,
+              solo->selection.selection.models_trained);
+    EXPECT_EQ(beside->selection.holdout_test_error,
+              solo->selection.holdout_test_error);
+  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 /// over the normalized (S, R) view must produce the exact same sufficient
 /// statistics, selected subsets, model parameters, validation errors, and
 /// holdout errors as the materialized join, because the factorized build
-/// reorders only integer additions. Also locks the cache-key separation
-/// (a factorized entry can never alias a materialized one) and the
+/// reorders only integer additions. Also locks the statistics identity
+/// (factorized statistics are never taken for the entity's own) and the
 /// property that random KFK schemas — FK skew, unreferenced attribute
 /// rows, missing classes — agree cell-for-cell.
 
@@ -148,41 +148,39 @@ TEST(FactorizedSuffStatsTest, BitIdenticalToMaterializedBuild) {
 TEST(FactorizedSuffStatsTest, KeyIsMarkedFactorized) {
   TwinCase t = MakeTwinCase(kDatasetCases[0], 14);
   ASSERT_FALSE(t.fac.relations().empty());
-  EXPECT_NE(t.fac.cache_key().secondary, 0u);
-  EXPECT_NE(t.fac.cache_key().fingerprint, 0u);
+  EXPECT_NE(t.fac.fingerprint(), 0u);
   const SuffStats fac = BuildFactorizedSuffStats(t.fac, t.split.train, 1);
-  EXPECT_EQ(fac.fingerprint, t.fac.cache_key().fingerprint);
+  EXPECT_EQ(fac.dataset_id, t.fac.entity().cache_id());
+  EXPECT_EQ(fac.fingerprint, t.fac.fingerprint());
   const SuffStats mat = BuildSuffStats(*t.mat, t.split.train, 1);
   EXPECT_EQ(mat.fingerprint, 0u);
 }
 
-// --- Cache-key separation regression. -------------------------------------
-// SuffStatsCache used to key on EncodedDataset::cache_id() + row hash
-// alone; the factorized entry shares the entity's cache id, so without
-// the composite key a cached factorized build could be served to an
-// entity-only consumer (and vice versa) with a different feature space.
+// --- Statistics identity regression. ---------------------------------------
+// Factorized statistics share the entity dataset's id, so the fingerprint
+// alone keeps them from being read by a model that trains on the entity
+// dataset — whose feature space is a strict prefix of the view's.
 
 TEST(FactorizedCacheTest, FactorizedEntryNeverAliasesMaterialized) {
-  SuffStatsCache::Global().Clear();
   TwinCase t = MakeTwinCase(kDatasetCases[0], 15);
-  auto fac = GetOrBuildFactorizedSuffStats(t.fac, t.split.train, 1);
-  ASSERT_NE(fac, nullptr);
+  auto fac = std::make_shared<const SuffStats>(
+      BuildFactorizedSuffStats(t.fac, t.split.train, 1));
   // The factorized statistics cover entity + foreign features...
   EXPECT_EQ(fac->feature_counts.size(), t.fac.num_features());
-  // ...but a Peek on the *entity* dataset alone must miss: its key is
-  // {cache_id, 0, 0}, not the composite factorized key.
-  EXPECT_EQ(SuffStatsCache::Global().Peek(t.fac.entity(), t.split.train),
-            nullptr);
-  // An entity-only build coexists under its own key; both stay live.
-  auto entity_stats =
-      SuffStatsCache::Global().GetOrBuild(t.fac.entity(), t.split.train, 1);
-  ASSERT_NE(entity_stats, nullptr);
-  EXPECT_NE(entity_stats.get(), fac.get());
-  EXPECT_EQ(entity_stats->feature_counts.size(),
-            t.fac.entity().num_features());
-  // And the factorized entry is still served for the factorized key.
-  auto again = GetOrBuildFactorizedSuffStats(t.fac, t.split.train, 1);
-  EXPECT_EQ(again.get(), fac.get());
+  EXPECT_TRUE(fac->Describes(t.fac.entity().cache_id(), t.fac.fingerprint(),
+                             t.split.train));
+  // ...but never describe the entity dataset alone.
+  EXPECT_FALSE(fac->Describes(t.fac.entity().cache_id(), 0, t.split.train));
+  // A Naive Bayes model on the entity dataset handed them counts from the
+  // codes, exactly like one handed nothing.
+  const std::vector<uint32_t> features = t.fac.entity().AllFeatureIndices();
+  NaiveBayes handed(1.0), plain(1.0);
+  handed.UseTrainStats(fac);
+  ASSERT_TRUE(handed.Train(t.fac.entity(), t.split.train, features).ok());
+  ASSERT_TRUE(plain.Train(t.fac.entity(), t.split.train, features).ok());
+  EXPECT_EQ(handed.ExportParams().log_priors, plain.ExportParams().log_priors);
+  EXPECT_EQ(handed.ExportParams().log_likelihoods,
+            plain.ExportParams().log_likelihoods);
 }
 
 // --- Selections: every method, bit-identical, any thread count. -----------
@@ -214,10 +212,8 @@ TEST(FactorizedSelectionTest, AllMethodsBitIdenticalAcrossThreadCounts) {
         SCOPED_TRACE(t.name + " " + selector->name() + " threads " +
                      std::to_string(threads));
         selector->set_num_threads(threads);
-        SuffStatsCache::Global().Clear();
         auto mat = selector->Select(*t.mat, t.split, factory, t.metric, cands);
         ASSERT_TRUE(mat.ok()) << mat.status();
-        SuffStatsCache::Global().Clear();
         auto fac = selector->SelectFactorized(t.fac, t.split, factory,
                                               t.metric, cands);
         ASSERT_TRUE(fac.ok()) << fac.status();
@@ -238,11 +234,9 @@ TEST(FactorizedSelectionTest, ModelParametersAndHoldoutBitIdentical) {
     forward.set_num_threads(2);
     SCOPED_TRACE(t.name);
 
-    SuffStatsCache::Global().Clear();
     auto mat = RunFeatureSelection(forward, *t.mat, t.split, factory,
                                    t.metric, candidates);
     ASSERT_TRUE(mat.ok()) << mat.status();
-    SuffStatsCache::Global().Clear();
     auto fac = RunFeatureSelectionFactorized(forward, t.fac, t.split, factory,
                                              t.metric, candidates);
     ASSERT_TRUE(fac.ok()) << fac.status();
@@ -311,10 +305,8 @@ TEST(FactorizedEdgeCaseTest, FkSkewedDatasetBitIdentical) {
   }
   ForwardSelection forward;
   ClassifierFactory factory = MakeNaiveBayesFactory();
-  SuffStatsCache::Global().Clear();
   auto mr = forward.Select(mat, split, factory, ErrorMetric::kZeroOne,
                            mat.AllFeatureIndices());
-  SuffStatsCache::Global().Clear();
   auto fr = forward.SelectFactorized(fac, split, factory,
                                      ErrorMetric::kZeroOne,
                                      fac.AllFeatureIndices());
@@ -450,11 +442,9 @@ TEST(FactorizedPipelineTest, AvoidMaterializationMatchesMaterializedRun) {
   config.metric = *MetricForDataset("Walmart");
   config.seed = 31;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   auto mat = RunPipeline(dataset, config);
   ASSERT_TRUE(mat.ok()) << mat.status();
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = true;
   auto fac = RunPipeline(dataset, config);
   ASSERT_TRUE(fac.ok()) << fac.status();

@@ -29,6 +29,8 @@
 #include "ml/factorized.h"
 #include "ml/gbt.h"
 #include "ml/suff_stats.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "relational/catalog.h"
 
 namespace hamlet {
@@ -120,7 +122,6 @@ TEST(FactorizedTreeTest, TrainBitIdenticalAcrossViewsAndThreads) {
     DecisionTreeOptions ref_options;
     ref_options.num_threads = 1;
     DecisionTree ref(ref_options);
-    SuffStatsCache::Global().Clear();
     ASSERT_TRUE(ref.Train(*t.mat, t.split.train, features).ok());
     const DecisionTreeParams ref_params = ref.ExportParams();
     ASSERT_GT(ref.num_nodes(), 1u) << t.name << ": degenerate stump";
@@ -132,13 +133,11 @@ TEST(FactorizedTreeTest, TrainBitIdenticalAcrossViewsAndThreads) {
       options.num_threads = threads;
 
       DecisionTree mat_tree(options);
-      SuffStatsCache::Global().Clear();
       ASSERT_TRUE(mat_tree.Train(*t.mat, t.split.train, features).ok());
       ExpectTreeParamsBitIdentical(mat_tree.ExportParams(), ref_params,
                                    "materialized");
 
       DecisionTree fac_tree(options);
-      SuffStatsCache::Global().Clear();
       ASSERT_TRUE(
           fac_tree.TrainFactorized(t.fac, t.split.train, features).ok());
       ExpectTreeParamsBitIdentical(fac_tree.ExportParams(), ref_params,
@@ -374,7 +373,6 @@ TEST(FactorizedTreeTest, SharedTrainerMatchesReferenceCart) {
           const std::vector<uint32_t> ref_pred =
               ReferencePredict(ref, *t.mat, t.split.test);
 
-          SuffStatsCache::Global().Clear();
           DecisionTree mat_tree(options);
           if (budget) mat_tree.UseRefitBudget();
           ASSERT_TRUE(mat_tree.Train(*t.mat, *rows, features).ok());
@@ -382,7 +380,6 @@ TEST(FactorizedTreeTest, SharedTrainerMatchesReferenceCart) {
                                        "materialized");
           EXPECT_EQ(mat_tree.Predict(*t.mat, t.split.test), ref_pred);
 
-          SuffStatsCache::Global().Clear();
           DecisionTree fac_tree(options);
           if (budget) fac_tree.UseRefitBudget();
           ASSERT_TRUE(fac_tree.TrainFactorized(t.fac, *rows, features).ok());
@@ -398,35 +395,59 @@ TEST(FactorizedTreeTest, SharedTrainerMatchesReferenceCart) {
   }
 }
 
-// --- The cached-SuffStats root seed changes nothing but the cost. ---------
+// --- Handed SuffStats seed the root and change nothing but the cost. -----
 
-TEST(FactorizedTreeTest, WarmSuffStatsCacheDoesNotChangeBits) {
+// Same identity, class counts off by one: a tree that reads them shows it
+// in its root scores, so "read" and "ignored" are told apart.
+std::shared_ptr<const SuffStats> SkewedStats(const SuffStats& stats) {
+  SuffStats skewed = stats;
+  for (uint64_t& count : skewed.class_counts) ++count;
+  return std::make_shared<const SuffStats>(std::move(skewed));
+}
+
+TEST(FactorizedTreeTest, HandedStatsDoNotChangeBits) {
   TwinCase t = MakeTwinCase(kDatasetCases[0], 45);
   const std::vector<uint32_t> features = t.mat->AllFeatureIndices();
   DecisionTreeOptions options;
   options.num_threads = 2;
+  const SuffStats mat_stats = BuildSuffStats(*t.mat, t.split.train, 1);
+  const SuffStats fac_stats =
+      BuildFactorizedSuffStats(t.fac, t.split.train, 1);
+  auto train = [&](bool factorized, std::shared_ptr<const SuffStats> stats) {
+    DecisionTree tree(options);
+    tree.UseTrainStats(std::move(stats));
+    EXPECT_TRUE((factorized
+                     ? tree.TrainFactorized(t.fac, t.split.train, features)
+                     : tree.Train(*t.mat, t.split.train, features))
+                    .ok());
+    return tree.ExportParams();
+  };
 
-  // Cold: Train counts the root histograms from the gathered codes.
-  SuffStatsCache::Global().Clear();
-  DecisionTree cold(options);
-  ASSERT_TRUE(cold.Train(*t.mat, t.split.train, features).ok());
+  // None: both views count the root histograms from the codes.
+  const DecisionTreeParams cold = train(false, nullptr);
+  ExpectTreeParamsBitIdentical(train(true, nullptr), cold, "factorized none");
 
-  // Warm: the root histograms come from the cached (materialized or
-  // factorized) statistics via Peek — integer counts, so bit-identical.
-  SuffStatsCache::Global().Clear();
-  ASSERT_NE(SuffStatsCache::Global().GetOrBuild(*t.mat, t.split.train, 1),
-            nullptr);
-  DecisionTree warm_mat(options);
-  ASSERT_TRUE(warm_mat.Train(*t.mat, t.split.train, features).ok());
-  ExpectTreeParamsBitIdentical(warm_mat.ExportParams(), cold.ExportParams(),
-                               "warm materialized cache");
+  // Matching hand-offs: the root comes from the counts, bit-identically.
+  ExpectTreeParamsBitIdentical(
+      train(false, std::make_shared<const SuffStats>(mat_stats)), cold,
+      "materialized matching");
+  ExpectTreeParamsBitIdentical(
+      train(true, std::make_shared<const SuffStats>(fac_stats)), cold,
+      "factorized matching");
+  // ...and really are read.
+  EXPECT_NE(train(false, SkewedStats(mat_stats)).scores, cold.scores);
+  EXPECT_NE(train(true, SkewedStats(fac_stats)).scores, cold.scores);
 
-  SuffStatsCache::Global().Clear();
-  ASSERT_NE(GetOrBuildFactorizedSuffStats(t.fac, t.split.train, 1), nullptr);
-  DecisionTree warm_fac(options);
-  ASSERT_TRUE(warm_fac.TrainFactorized(t.fac, t.split.train, features).ok());
-  ExpectTreeParamsBitIdentical(warm_fac.ExportParams(), cold.ExportParams(),
-                               "warm factorized cache");
+  // Mismatched hand-offs — the other view's statistics, or another row
+  // subset — are ignored, skewed counts and all.
+  SuffStats other_rows = mat_stats;
+  other_rows.rows = t.split.validation;
+  ExpectTreeParamsBitIdentical(train(false, SkewedStats(fac_stats)), cold,
+                               "materialized given factorized");
+  ExpectTreeParamsBitIdentical(train(true, SkewedStats(mat_stats)), cold,
+                               "factorized given materialized");
+  ExpectTreeParamsBitIdentical(train(false, SkewedStats(other_rows)), cold,
+                               "materialized given other rows");
 }
 
 // --- Selections: the tree scan paths agree with the materialized scan. ----
@@ -443,11 +464,9 @@ TEST(FactorizedTreeSelectionTest, ForwardAndBackwardMatchMaterialized) {
     for (uint32_t threads : {1u, 2u}) {
       SCOPED_TRACE(selector->name() + " threads " + std::to_string(threads));
       selector->set_num_threads(threads);
-      SuffStatsCache::Global().Clear();
       auto mat =
           selector->Select(*t.mat, t.split, factory, t.metric, candidates);
       ASSERT_TRUE(mat.ok()) << mat.status();
-      SuffStatsCache::Global().Clear();
       auto fac = selector->SelectFactorized(t.fac, t.split, factory, t.metric,
                                             candidates);
       ASSERT_TRUE(fac.ok()) << fac.status();
@@ -466,10 +485,8 @@ TEST(FactorizedGbtSelectionTest, ForwardSelectionMatchesMaterialized) {
   for (uint32_t threads : {1u, 2u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     forward.set_num_threads(threads);
-    SuffStatsCache::Global().Clear();
     auto mat = forward.Select(*t.mat, t.split, factory, t.metric, candidates);
     ASSERT_TRUE(mat.ok()) << mat.status();
-    SuffStatsCache::Global().Clear();
     auto fac =
         forward.SelectFactorized(t.fac, t.split, factory, t.metric, candidates);
     ASSERT_TRUE(fac.ok()) << fac.status();
@@ -488,11 +505,9 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
   ForwardSelection forward;
   forward.set_num_threads(2);
 
-  SuffStatsCache::Global().Clear();
   auto mat = RunFeatureSelection(forward, *t.mat, t.split, factory, t.metric,
                                  candidates);
   ASSERT_TRUE(mat.ok()) << mat.status();
-  SuffStatsCache::Global().Clear();
   auto fac = RunFeatureSelectionFactorized(forward, t.fac, t.split, factory,
                                            t.metric, candidates);
   ASSERT_TRUE(fac.ok()) << fac.status();
@@ -509,7 +524,6 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
   DecisionTreeOptions options;
   options.num_threads = 2;
   DecisionTree from_mat(options), from_fac(options);
-  SuffStatsCache::Global().Clear();
   ASSERT_TRUE(
       from_mat.Train(*t.mat, t.split.train, mat->selection.selected).ok());
   ASSERT_TRUE(
@@ -517,6 +531,47 @@ TEST(FactorizedTreeRunnerTest, ReportBitIdenticalToMaterialized) {
           .ok());
   ExpectTreeParamsBitIdentical(from_fac.ExportParams(), from_mat.ExportParams(),
                                "final fit");
+}
+
+// --- Runner: one statistics build reaches every tree it trains. ----------
+
+// Every tree the run trains — each candidate and the final fit — seeds
+// its root histograms from the search's one build instead of a pass over
+// the train rows. The results cannot show it (they are bit-identical by
+// design), so the rows the trees scan do: the scan reference
+// (force_scan_eval) hands out no statistics and pays one extra root pass
+// per tree.
+TEST(FactorizedTreeRunnerTest, EveryTreeOfTheRunReadsTheSearchStats) {
+  TwinCase t = MakeTwinCase(kDatasetCases[0], 52);
+  const ClassifierFactory factory = MakeDecisionTreeFactory();
+  const std::vector<uint32_t> candidates = t.mat->AllFeatureIndices();
+  for (bool factorized : {false, true}) {
+    SCOPED_TRACE(factorized ? "factorized" : "materialized");
+    uint64_t scanned[2] = {0, 0};
+    uint64_t trees[2] = {0, 0};
+    uint64_t models = 0;
+    for (bool force_scan : {false, true}) {
+      obs::ScopedCollection collection(true);
+      ForwardSelection forward;
+      forward.set_num_threads(2);
+      forward.set_force_scan_eval(force_scan);
+      auto report =
+          factorized
+              ? RunFeatureSelectionFactorized(forward, t.fac, t.split, factory,
+                                              t.metric, candidates)
+              : RunFeatureSelection(forward, *t.mat, t.split, factory,
+                                    t.metric, candidates);
+      ASSERT_TRUE(report.ok()) << report.status();
+      const obs::MetricsSnapshot snapshot =
+          obs::MetricsRegistry::Global().Snapshot();
+      scanned[force_scan] = snapshot.CounterValue("tree.rows_scanned");
+      trees[force_scan] = snapshot.CounterValue("tree.trains");
+      models = report->selection.models_trained;
+    }
+    EXPECT_EQ(trees[0], models + 1);  // The candidates and the final fit.
+    EXPECT_EQ(trees[1], trees[0]);
+    EXPECT_EQ(scanned[1] - scanned[0], trees[0] * t.split.train.size());
+  }
 }
 
 // --- The pipeline switch, for both tree classifiers. ----------------------
@@ -529,11 +584,9 @@ TEST(FactorizedTreePipelineTest, DecisionTreeAvoidMaterializationMatches) {
   config.metric = *MetricForDataset("Walmart");
   config.seed = 53;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   auto mat = RunPipeline(dataset, config);
   ASSERT_TRUE(mat.ok()) << mat.status();
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = true;
   auto fac = RunPipeline(dataset, config);
   ASSERT_TRUE(fac.ok()) << fac.status();
@@ -557,11 +610,9 @@ TEST(FactorizedGbtPipelineTest, GbtAvoidMaterializationMatches) {
   config.metric = *MetricForDataset("Walmart");
   config.seed = 55;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   auto mat = RunPipeline(dataset, config);
   ASSERT_TRUE(mat.ok()) << mat.status();
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = true;
   auto fac = RunPipeline(dataset, config);
   ASSERT_TRUE(fac.ok()) << fac.status();
@@ -581,8 +632,8 @@ TEST(FactorizedTreePipelineTest, ForceScanStillTrainsFactorized) {
   config.classifier = ClassifierKind::kDecisionTree;
   config.metric = *MetricForDataset("Walmart");
   config.avoid_materialization = true;
-  // force_scan_eval only forces NB off its sufficient-statistics fast
-  // path; the tree candidate evaluation is already a factorized scan.
+  // force_scan_eval only stops the trees reading the search's statistics
+  // (their roots count from the codes); they still train over the view.
   config.force_scan_eval = true;
   auto report = RunPipeline(dataset, config);
   ASSERT_TRUE(report.ok()) << report.status();

@@ -409,7 +409,6 @@ TEST_F(FactorizedDeterminismTest, PipelineEndToEndIsThreadInvariant) {
   config.enable_join_avoidance = false;  // Factorize every table.
   config.seed = 19;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   config.num_threads = 1;
   auto mat = RunPipeline(*ds, config);
@@ -417,7 +416,6 @@ TEST_F(FactorizedDeterminismTest, PipelineEndToEndIsThreadInvariant) {
 
   config.avoid_materialization = true;
   for (uint32_t num_threads : {1u, 2u, 8u, 0u}) {
-    SuffStatsCache::Global().Clear();
     config.num_threads = num_threads;
     auto fac = RunPipeline(*ds, config);
     ASSERT_TRUE(fac.ok()) << fac.status();
@@ -450,7 +448,6 @@ TEST_F(FactorizedDeterminismTest, AvoidModePeaksBelowMaterializedRun) {
   config.enable_join_avoidance = false;  // The join is the cost measured.
   config.seed = 21;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = false;
   ColumnMemory::ResetPeak();
   const int64_t mat_base = ColumnMemory::LiveBytes();
@@ -458,7 +455,6 @@ TEST_F(FactorizedDeterminismTest, AvoidModePeaksBelowMaterializedRun) {
   ASSERT_TRUE(mat.ok()) << mat.status();
   const int64_t mat_peak = ColumnMemory::PeakBytes() - mat_base;
 
-  SuffStatsCache::Global().Clear();
   config.avoid_materialization = true;
   ColumnMemory::ResetPeak();
   const int64_t fac_base = ColumnMemory::LiveBytes();

@@ -5,7 +5,9 @@
 /// names the document's "Metrics catalogue" and "Span catalogue" tables
 /// list. A name emitted but not documented, or documented but never
 /// emitted, fails the test. The same two-way check runs on each span's
-/// attribute keys against the table's "attributes" cell.
+/// attribute keys against the table's "attributes" cell, and on the keys
+/// emitted as identifiers (obs::AttrKind::kId, never summed when spans
+/// merge) against its "identifiers" cell.
 ///
 /// "Emitted" for a metric means registered with the global registry,
 /// which is what every snapshot (and so every JSONL export) carries.
@@ -40,6 +42,13 @@ namespace {
 using NameSet = std::set<std::string>;
 /// Span name -> every attribute key seen on spans of that name.
 using SpanAttrs = std::map<std::string, NameSet>;
+
+/// What the traced workloads emitted: every attribute key per span, and
+/// the keys added as identifiers.
+struct EmittedSpans {
+  SpanAttrs keys;
+  SpanAttrs ids;
+};
 
 bool IsTestName(const std::string& name) {
   return name.rfind("test.", 0) == 0;
@@ -93,12 +102,13 @@ NameSet DocumentedNames(const std::string& doc, const std::string& section) {
   return names;
 }
 
-/// Span name -> backticked names of its row's "attributes" cell.
-SpanAttrs DocumentedSpanAttrs(const std::string& doc) {
+/// Span name -> backticked names of its row's cell `column` (2: the
+/// "attributes" cell, 3: the "identifiers" cell).
+SpanAttrs DocumentedSpanAttrs(const std::string& doc, size_t column) {
   SpanAttrs attrs;
   for (const auto& row : TableRows(doc, "Span catalogue")) {
     const NameSet documented =
-        row.size() > 2 ? BacktickedNames(row[2]) : NameSet();
+        row.size() > column ? BacktickedNames(row[column]) : NameSet();
     for (const std::string& span : BacktickedNames(row[0])) {
       attrs[span] = documented;
     }
@@ -106,11 +116,17 @@ SpanAttrs DocumentedSpanAttrs(const std::string& doc) {
   return attrs;
 }
 
-void AddSpans(const obs::Trace& trace, SpanAttrs* spans) {
+void AddSpans(const obs::Trace& trace, EmittedSpans* spans) {
   for (const obs::TraceEvent& event : trace.events) {
     if (IsTestName(event.name)) continue;
-    NameSet& keys = (*spans)[event.name];
-    for (const obs::TraceAttr& attr : event.attrs) keys.insert(attr.key);
+    NameSet& keys = spans->keys[event.name];
+    NameSet& ids = spans->ids[event.name];
+    for (const obs::TraceAttr& attr : event.attrs) {
+      keys.insert(attr.key);
+      if (attr.is_number && attr.kind == obs::AttrKind::kId) {
+        ids.insert(attr.key);
+      }
+    }
   }
 }
 
@@ -125,7 +141,7 @@ EncodedDataset ServeData(uint64_t seed, uint32_t n) {
   return EncodedDataset({f, g}, {{"F", 2}, {"G", 4}}, y, 2);
 }
 
-void RunTracedPipelines(const NormalizedDataset& ds, SpanAttrs* spans) {
+void RunTracedPipelines(const NormalizedDataset& ds, EmittedSpans* spans) {
   struct Variant {
     ClassifierKind classifier;
     FsMethod method;
@@ -152,7 +168,7 @@ void RunTracedPipelines(const NormalizedDataset& ds, SpanAttrs* spans) {
 }
 
 void RunIngestJoinAndSimulation(const NormalizedDataset& ds,
-                                SpanAttrs* spans) {
+                                EmittedSpans* spans) {
   obs::ScopedCollection window(true);
   const std::string fk = ds.foreign_keys()[0].fk_column;
   const Table* r = *ds.AttributeTableFor(fk);
@@ -176,7 +192,7 @@ void RunIngestJoinAndSimulation(const NormalizedDataset& ds,
   AddSpans(obs::Tracer::Global().Collect(), spans);
 }
 
-void RunServePass(SpanAttrs* spans) {
+void RunServePass(EmittedSpans* spans) {
   const std::string root = ::testing::TempDir() + "/hamlet_catalogue_store";
   std::filesystem::remove_all(root);
   {
@@ -250,7 +266,7 @@ TEST(ObservabilityCatalogueTest, DocumentedNamesMatchEmittedNames) {
 
   auto ds = MakeDataset("Walmart", 0.01, 3);
   ASSERT_TRUE(ds.ok()) << ds.status();
-  SpanAttrs spans;
+  EmittedSpans spans;
   RunTracedPipelines(*ds, &spans);
   RunIngestJoinAndSimulation(*ds, &spans);
   RunServePass(&spans);
@@ -265,15 +281,18 @@ TEST(ObservabilityCatalogueTest, DocumentedNamesMatchEmittedNames) {
     if (!IsTestName(h.name)) metrics.insert(h.name);
   }
   NameSet span_names;
-  for (const auto& [name, keys] : spans) span_names.insert(name);
+  for (const auto& [name, keys] : spans.keys) span_names.insert(name);
   ExpectSameNames(documented_metrics, metrics, "metric(s)");
   ExpectSameNames(documented_spans, span_names, "span(s)");
 
-  const SpanAttrs documented_attrs = DocumentedSpanAttrs(doc.str());
-  for (const auto& [name, keys] : spans) {
+  const SpanAttrs documented_attrs = DocumentedSpanAttrs(doc.str(), 2);
+  const SpanAttrs documented_ids = DocumentedSpanAttrs(doc.str(), 3);
+  for (const auto& [name, keys] : spans.keys) {
     const auto it = documented_attrs.find(name);
     if (it == documented_attrs.end()) continue;  // Reported above.
     ExpectSameNames(it->second, keys, "attribute(s) of span `" + name + "`");
+    ExpectSameNames(documented_ids.at(name), spans.ids.at(name),
+                    "identifier attribute(s) of span `" + name + "`");
   }
 }
 

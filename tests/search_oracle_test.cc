@@ -317,7 +317,9 @@ std::vector<ScorerCase> ScorerCases() {
   tree.max_depth = 3;
   return {{"nb_delta", MakeNaiveBayesFactory(), false, true},
           {"nb_force_scan", MakeNaiveBayesFactory(), true, false},
-          {"decision_tree", MakeDecisionTreeFactory(tree), false, true}};
+          {"decision_tree", MakeDecisionTreeFactory(tree), false, true},
+          {"decision_tree_force_scan", MakeDecisionTreeFactory(tree), true,
+           true}};
 }
 
 TEST(SearchOracleTest, EverySelectorMatchesTheNaiveReference) {
@@ -328,7 +330,6 @@ TEST(SearchOracleTest, EverySelectorMatchesTheNaiveReference) {
 
   for (const ScorerCase& sc : ScorerCases()) {
     for (Method method : kMethods) {
-      SuffStatsCache::Global().Clear();
       const SelectionResult ref =
           Reference(method, t, sc.factory, candidates);
       // Removal scores on the delta scorer subtract a column, which
@@ -343,7 +344,6 @@ TEST(SearchOracleTest, EverySelectorMatchesTheNaiveReference) {
                        " threads " + std::to_string(threads));
           selector->set_num_threads(threads);
           selector->set_force_scan_eval(sc.force_scan_eval);
-          SuffStatsCache::Global().Clear();
           Result<SelectionResult> got =
               factorized ? selector->SelectFactorized(t.fac, t.split,
                                                       sc.factory, t.metric,
@@ -367,7 +367,6 @@ TEST(SearchOracleTest, EverySelectorMatchesTheNaiveReference) {
       }
     }
   }
-  SuffStatsCache::Global().Clear();
 }
 
 // --- Counters. --------------------------------------------------------------
@@ -375,6 +374,13 @@ TEST(SearchOracleTest, EverySelectorMatchesTheNaiveReference) {
 // Baseline evaluations (the greedy searches' starting subset) are models,
 // but never delta evaluations.
 uint64_t Baselines(Method method) { return IsGreedy(method) ? 1 : 0; }
+
+uint64_t StatsBuilds(const obs::MetricsSnapshot& snapshot) {
+  for (const auto& histogram : snapshot.histograms) {
+    if (histogram.name == "fs.stats_build_ns") return histogram.count;
+  }
+  return 0;
+}
 
 TEST(SearchOracleTest, CountersMatchModelsTrainedOnEveryScorer) {
   const Twin t = MakeTwin(73);
@@ -390,7 +396,6 @@ TEST(SearchOracleTest, CountersMatchModelsTrainedOnEveryScorer) {
                      (factorized ? " factorized" : " materialized"));
         selector->set_num_threads(2);
         selector->set_force_scan_eval(sc.force_scan_eval);
-        SuffStatsCache::Global().Clear();
         const obs::MetricsSnapshot before =
             obs::MetricsRegistry::Global().Snapshot();
         Result<SelectionResult> got =
@@ -409,10 +414,13 @@ TEST(SearchOracleTest, CountersMatchModelsTrainedOnEveryScorer) {
         EXPECT_EQ(models, got->models_trained);
         EXPECT_EQ(deltas,
                   delta ? got->models_trained - Baselines(method) : 0u);
+        // Both classifiers read counts: one build per search, none for
+        // the scan reference.
+        EXPECT_EQ(StatsBuilds(after) - StatsBuilds(before),
+                  sc.force_scan_eval ? 0u : 1u);
       }
     }
   }
-  SuffStatsCache::Global().Clear();
 }
 
 }  // namespace

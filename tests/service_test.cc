@@ -164,6 +164,43 @@ TEST_F(ServiceTest, ScoreGbtModel) {
   }
 }
 
+TEST_F(ServiceTest, ResolveLearnsTheModelKindOnce) {
+  EncodedDataset data = MakeData(14);
+  DecisionTree tree;
+  ASSERT_TRUE(tree.Train(data, AllRows(data), {0, 1}).ok());
+  ASSERT_TRUE(store_->PutDecisionTree("tree", tree).ok());
+  GbtOptions gbt_options;
+  gbt_options.num_rounds = 2;
+  Gbt gbt(gbt_options);
+  ASSERT_TRUE(gbt.Train(data, AllRows(data), {0, 1}).ok());
+  ASSERT_TRUE(store_->PutGbt("gbt", gbt).ok());
+
+  HamletService service(store_.get());
+  ScoreRequest request;
+  request.rows = std::make_shared<EncodedDataset>(MakeData(14));
+  // A cold resolve reads the kind from the header and loads the model
+  // once, whatever its kind; a warm one is served from the store's LRU.
+  for (const char* name : {"tree", "gbt"}) {
+    SCOPED_TRACE(name);
+    request.model = name;
+    const uint64_t cold = store_->cache_misses();
+    ASSERT_TRUE(service.ScoreBatchDirect({request}).ok());
+    EXPECT_EQ(store_->cache_misses() - cold, 1u);
+    const uint64_t warm = store_->cache_misses();
+    const uint64_t hits = store_->cache_hits();
+    ASSERT_TRUE(service.ScoreBatchDirect({request}).ok());
+    EXPECT_EQ(store_->cache_misses() - warm, 0u);
+    EXPECT_EQ(store_->cache_hits() - hits, 1u);
+  }
+  // A dataset is not a servable model: the typed kind mismatch.
+  ASSERT_TRUE(store_->PutDataset("d", data).ok());
+  request.model = "d";
+  Result<std::vector<ScoreResponse>> not_a_model =
+      service.ScoreBatchDirect({request});
+  ASSERT_FALSE(not_a_model.ok());
+  EXPECT_EQ(SerdeErrorOf(not_a_model.status()), SerdeError::kKindMismatch);
+}
+
 TEST_F(ServiceTest, TreeLayoutMismatchRejected) {
   EncodedDataset data = MakeData(13);
   DecisionTree model;

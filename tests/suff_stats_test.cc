@@ -1,15 +1,16 @@
-/// Cached-vs-scan equivalence suite for the sufficient-statistics fast
-/// path (docs/PERFORMANCE.md). The contract under test: with the cache
-/// active, every search selects the *identical* subset, reports an error
-/// within 1e-12 of the scan path (bit-equal for forward/exhaustive/
-/// filters, whose summation order matches the scan path exactly), and
-/// trains the same number of candidate models — across bundled datasets
-/// and thread counts {1, 2, 8}. The scan reference runs under
-/// ScopedSuffStatsBypass + set_force_scan_eval, which is also how
-/// PipelineConfig::force_scan_eval is exercised.
+/// Statistics-vs-scan equivalence suite for the sufficient-statistics
+/// fast path (docs/PERFORMANCE.md). The contract under test: with the
+/// search's statistics, every search selects the *identical* subset,
+/// reports an error within 1e-12 of the scan path (bit-equal for
+/// forward/exhaustive/filters, whose summation order matches the scan
+/// path exactly), and trains the same number of candidate models — across
+/// bundled datasets and thread counts {1, 2, 8}. The scan reference is
+/// set_force_scan_eval, which is also how PipelineConfig::force_scan_eval
+/// is exercised: its scorer builds no statistics at all.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -23,8 +24,11 @@
 #include "fs/greedy_search.h"
 #include "fs/runner.h"
 #include "ml/eval.h"
+#include "ml/gbt.h"
+#include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
 #include "ml/suff_stats.h"
+#include "ml/tan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -74,11 +78,8 @@ TEST(SuffStatsTest, TrainFromStatsMatchesScanTrainBitExactly) {
   const SuffStats stats = BuildSuffStats(*c.data, c.split.train, 1);
   const std::vector<uint32_t> features = c.data->AllFeatureIndices();
 
-  NaiveBayes scan(1.0);
-  {
-    ScopedSuffStatsBypass bypass;  // Guarantee the scan path.
-    ASSERT_TRUE(scan.Train(*c.data, c.split.train, features).ok());
-  }
+  NaiveBayes scan(1.0);  // Handed no statistics: the scan path.
+  ASSERT_TRUE(scan.Train(*c.data, c.split.train, features).ok());
   NaiveBayes from_stats(1.0);
   ASSERT_TRUE(from_stats.TrainFromStats(stats, features).ok());
 
@@ -105,63 +106,51 @@ TEST(SuffStatsTest, BuildIsIdenticalAtAnyThreadCount) {
   }
 }
 
-// --- Cache behavior: hit, bypass, eviction. -------------------------------
+// --- Hand-off: statistics are read only when they describe the call. ----
 
-TEST(SuffStatsCacheTest, GetOrBuildHitsAndPeeks) {
-  SuffStatsCache::Global().Clear();
+// Statistics whose identity matches (data, rows) but whose counts are
+// deliberately off by one in every class: a model that reads them shows
+// it in its priors, so the tests below can tell "read" from "ignored".
+std::shared_ptr<const SuffStats> SkewedStats(const SuffStats& stats) {
+  SuffStats skewed = stats;
+  for (uint64_t& count : skewed.class_counts) ++count;
+  return std::make_shared<const SuffStats>(std::move(skewed));
+}
+
+TEST(SuffStatsTest, HandOffIsReadOnlyWhenItDescribesTheTrainCall) {
   EncodedCase c = MakeEncodedCase(kDatasetCases[0], 9);
-  auto a = SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1);
-  ASSERT_NE(a, nullptr);
-  auto b = SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1);
-  EXPECT_EQ(a.get(), b.get());  // Same entry, no rebuild.
-  auto p = SuffStatsCache::Global().Peek(*c.data, c.split.train);
-  EXPECT_EQ(a.get(), p.get());
-  // A different row subset is a different key.
-  EXPECT_EQ(SuffStatsCache::Global().Peek(*c.data, c.split.validation),
-            nullptr);
-  SuffStatsCache::Global().Clear();
-  EXPECT_EQ(SuffStatsCache::Global().Peek(*c.data, c.split.train), nullptr);
-}
+  const std::vector<uint32_t> features = c.data->AllFeatureIndices();
+  const SuffStats built = BuildSuffStats(*c.data, c.split.train, 1);
+  auto params = [&](std::shared_ptr<const SuffStats> stats) {
+    NaiveBayes model(1.0);
+    model.UseTrainStats(std::move(stats));
+    EXPECT_TRUE(model.Train(*c.data, c.split.train, features).ok());
+    return model.ExportParams();
+  };
+  const NaiveBayesParams none = params(nullptr);
 
-TEST(SuffStatsCacheTest, BypassForcesMisses) {
-  SuffStatsCache::Global().Clear();
-  EncodedCase c = MakeEncodedCase(kDatasetCases[0], 10);
-  auto a = SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1);
-  ASSERT_NE(a, nullptr);
-  {
-    ScopedSuffStatsBypass bypass;
-    EXPECT_TRUE(SuffStatsCache::Bypassed());
-    EXPECT_EQ(SuffStatsCache::Global().Peek(*c.data, c.split.train), nullptr);
-    EXPECT_EQ(SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1),
-              nullptr);
-    {
-      ScopedSuffStatsBypass nested;  // Nestable.
-      EXPECT_TRUE(SuffStatsCache::Bypassed());
-    }
-    EXPECT_TRUE(SuffStatsCache::Bypassed());
+  // A matching hand-off trains the bit-identical model from the counts.
+  const NaiveBayesParams matching =
+      params(std::make_shared<const SuffStats>(built));
+  EXPECT_EQ(matching.log_priors, none.log_priors);
+  EXPECT_EQ(matching.log_likelihoods, none.log_likelihoods);
+  // ...and really is read: skewed counts under the same identity show.
+  EXPECT_NE(params(SkewedStats(built)).log_priors, none.log_priors);
+
+  // Mismatched hand-offs — other rows, another dataset, a factorized
+  // fingerprint — are ignored, even with skewed counts.
+  SuffStats other_rows = built;
+  other_rows.rows = c.split.validation;
+  SuffStats other_dataset = built;
+  other_dataset.dataset_id = built.dataset_id + 1;
+  SuffStats other_view = built;
+  other_view.fingerprint = 1;
+  for (const SuffStats* mismatched :
+       {&other_rows, &other_dataset, &other_view}) {
+    const NaiveBayesParams got = params(SkewedStats(*mismatched));
+    EXPECT_EQ(got.log_priors, none.log_priors);
+    EXPECT_EQ(got.log_likelihoods, none.log_likelihoods);
   }
-  EXPECT_FALSE(SuffStatsCache::Bypassed());
-  EXPECT_NE(SuffStatsCache::Global().Peek(*c.data, c.split.train), nullptr);
-  SuffStatsCache::Global().Clear();
-}
-
-TEST(SuffStatsCacheTest, EvictsLeastRecentlyUsed) {
-  SuffStatsCache::Global().Clear();
-  SuffStatsCache::Global().set_capacity(2);
-  EncodedCase c = MakeEncodedCase(kDatasetCases[0], 11);
-  std::vector<uint32_t> rows_a = {0, 1, 2, 3};
-  std::vector<uint32_t> rows_b = {4, 5, 6, 7};
-  std::vector<uint32_t> rows_c = {8, 9, 10, 11};
-  SuffStatsCache::Global().GetOrBuild(*c.data, rows_a, 1);
-  SuffStatsCache::Global().GetOrBuild(*c.data, rows_b, 1);
-  // Touch A so B is the LRU entry, then insert C.
-  ASSERT_NE(SuffStatsCache::Global().Peek(*c.data, rows_a), nullptr);
-  SuffStatsCache::Global().GetOrBuild(*c.data, rows_c, 1);
-  EXPECT_NE(SuffStatsCache::Global().Peek(*c.data, rows_a), nullptr);
-  EXPECT_EQ(SuffStatsCache::Global().Peek(*c.data, rows_b), nullptr);
-  EXPECT_NE(SuffStatsCache::Global().Peek(*c.data, rows_c), nullptr);
-  SuffStatsCache::Global().set_capacity(16);
-  SuffStatsCache::Global().Clear();
 }
 
 // --- Fast path vs scan path: full search equivalence. ---------------------
@@ -169,7 +158,6 @@ TEST(SuffStatsCacheTest, EvictsLeastRecentlyUsed) {
 SelectionResult RunScanReference(FeatureSelector& selector,
                                  const EncodedCase& c,
                                  const std::vector<uint32_t>& candidates) {
-  ScopedSuffStatsBypass bypass;
   selector.set_force_scan_eval(true);
   selector.set_num_threads(1);
   return *selector.Select(*c.data, c.split, MakeNaiveBayesFactory(),
@@ -191,7 +179,6 @@ TEST(FastPathEquivalenceTest, ForwardSelectionMatchesScanOnBundledDatasets) {
     ForwardSelection scan_fs;
     const SelectionResult scan = RunScanReference(scan_fs, c, candidates);
     for (uint32_t threads : kThreadCounts) {
-      SuffStatsCache::Global().Clear();
       ForwardSelection fs;
       fs.set_num_threads(threads);
       const SelectionResult fast = *fs.Select(
@@ -211,7 +198,6 @@ TEST(FastPathEquivalenceTest, BackwardSelectionMatchesScanOnBundledDatasets) {
     BackwardSelection scan_bs;
     const SelectionResult scan = RunScanReference(scan_bs, c, candidates);
     for (uint32_t threads : kThreadCounts) {
-      SuffStatsCache::Global().Clear();
       BackwardSelection bs;
       bs.set_num_threads(threads);
       const SelectionResult fast = *bs.Select(
@@ -231,7 +217,6 @@ TEST(FastPathEquivalenceTest, ExhaustiveSelectionMatchesScanOnBundledDatasets) {
     ExhaustiveSelection scan_ex;
     const SelectionResult scan = RunScanReference(scan_ex, c, candidates);
     for (uint32_t threads : kThreadCounts) {
-      SuffStatsCache::Global().Clear();
       ExhaustiveSelection ex;
       ex.set_num_threads(threads);
       const SelectionResult fast = *ex.Select(
@@ -255,7 +240,6 @@ TEST(FastPathEquivalenceTest, FiltersMatchScanOnBundledDatasets) {
       const SelectionResult scan = RunScanReference(scan_filter, c,
                                                     candidates);
       for (uint32_t threads : kThreadCounts) {
-        SuffStatsCache::Global().Clear();
         ScoreFilter filter(score);
         filter.set_num_threads(threads);
         const SelectionResult fast = *filter.Select(
@@ -271,24 +255,19 @@ TEST(FastPathEquivalenceTest, FiltersMatchScanOnBundledDatasets) {
 TEST(FastPathEquivalenceTest, FilterScoresMatchCachedContingencyTables) {
   EncodedCase c = MakeEncodedCase(kDatasetCases[0], 25);
   const std::vector<uint32_t> candidates = c.data->AllFeatureIndices();
+  const SuffStats stats = BuildSuffStats(*c.data, c.split.train, 1);
   for (FilterScore score : {FilterScore::kMutualInformation,
                             FilterScore::kInformationGainRatio}) {
     ScoreFilter filter(score);
     filter.set_num_threads(1);
-    std::vector<double> scan_scores;
-    {
-      ScopedSuffStatsBypass bypass;
-      scan_scores = filter.ScoreFeatures(*c.data, c.split.train, candidates);
-    }
-    SuffStatsCache::Global().Clear();
-    SuffStatsCache::Global().GetOrBuild(*c.data, c.split.train, 1);
-    const std::vector<double> cached_scores =
+    const std::vector<double> scan_scores =
         filter.ScoreFeatures(*c.data, c.split.train, candidates);
-    ASSERT_EQ(cached_scores.size(), scan_scores.size());
+    const std::vector<double> stats_scores =
+        filter.ScoreFeaturesFromStats(stats, candidates);
+    ASSERT_EQ(stats_scores.size(), scan_scores.size());
     for (size_t i = 0; i < scan_scores.size(); ++i) {
-      EXPECT_EQ(cached_scores[i], scan_scores[i]) << "feature " << i;
+      EXPECT_EQ(stats_scores[i], scan_scores[i]) << "feature " << i;
     }
-    SuffStatsCache::Global().Clear();
   }
 }
 
@@ -326,34 +305,60 @@ TEST(NbSubsetEvaluatorTest, EvalPathsAgreeWithEachOther) {
 
 // --- Observability: the fs.* probes record under collection. --------------
 
-TEST(SuffStatsObservabilityTest, ProbesRecordUnderCollection) {
-  SuffStatsCache::Global().Clear();
-  EncodedCase c = MakeEncodedCase(kDatasetCases[0], 27);
-  obs::ScopedCollection collection(true);
-  ForwardSelection fs;
-  fs.set_num_threads(1);
-  ASSERT_TRUE(fs.Select(*c.data, c.split, MakeNaiveBayesFactory(), c.metric,
-                        c.data->AllFeatureIndices())
-                  .ok());
-  // A Peek hit on the same split must also count.
-  ASSERT_NE(SuffStatsCache::Global().Peek(*c.data, c.split.train), nullptr);
+// Statistics builds and delta evaluations one RunFeatureSelection records.
+struct SearchProbes {
+  uint64_t builds = 0;
+  uint64_t deltas = 0;
+};
 
+SearchProbes RunCollected(FeatureSelector& selector, const EncodedCase& c,
+                          const ClassifierFactory& factory,
+                          const std::vector<uint32_t>& candidates) {
+  obs::ScopedCollection collection(true);
+  selector.set_num_threads(1);
+  EXPECT_TRUE(RunFeatureSelection(selector, *c.data, c.split, factory,
+                                  c.metric, candidates)
+                  .ok());
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().Snapshot();
-  uint64_t hits = 0, misses = 0, deltas = 0, builds = 0;
-  for (const auto& counter : snapshot.counters) {
-    if (counter.name == "fs.cache_hits") hits = counter.value;
-    if (counter.name == "fs.cache_misses") misses = counter.value;
-    if (counter.name == "fs.delta_evals") deltas = counter.value;
-  }
+  SearchProbes probes;
+  probes.deltas = snapshot.CounterValue("fs.delta_evals");
   for (const auto& histogram : snapshot.histograms) {
-    if (histogram.name == "fs.stats_build_ns") builds = histogram.count;
+    if (histogram.name == "fs.stats_build_ns") probes.builds = histogram.count;
   }
-  EXPECT_GE(misses, 1u);  // The search's GetOrBuild built once...
-  EXPECT_EQ(builds, misses);
-  EXPECT_GE(hits, 1u);    // ...and the later Peek hit.
-  EXPECT_GE(deltas, c.data->num_features());
-  SuffStatsCache::Global().Clear();
+  return probes;
+}
+
+TEST(SuffStatsObservabilityTest, ProbesRecordUnderCollection) {
+  EncodedCase c = MakeEncodedCase(kDatasetCases[0], 27);
+  const std::vector<uint32_t> all = c.data->AllFeatureIndices();
+  // Naive Bayes: one build serves the whole search and the final fit.
+  ForwardSelection forward;
+  SearchProbes nb = RunCollected(forward, c, MakeNaiveBayesFactory(), all);
+  EXPECT_EQ(nb.builds, 1u);
+  EXPECT_GE(nb.deltas, c.data->num_features());
+  // The scan reference builds nothing and serves nothing incrementally.
+  ForwardSelection scan;
+  scan.set_force_scan_eval(true);
+  SearchProbes scanned = RunCollected(scan, c, MakeNaiveBayesFactory(), all);
+  EXPECT_EQ(scanned.builds, 0u);
+  EXPECT_EQ(scanned.deltas, 0u);
+  ScoreFilter scan_filter(FilterScore::kMutualInformation);
+  scan_filter.set_force_scan_eval(true);
+  EXPECT_EQ(
+      RunCollected(scan_filter, c, MakeNaiveBayesFactory(), all).builds, 0u);
+  // A wrapper over models that read no counts builds nothing; a filter
+  // over them builds once, for its scores.
+  const std::vector<uint32_t> few(
+      all.begin(), all.begin() + std::min<size_t>(4, all.size()));
+  for (const ClassifierFactory& factory :
+       {MakeLogisticRegressionFactory(), MakeTanFactory(), MakeGbtFactory()}) {
+    const std::string name = factory()->name();
+    ForwardSelection wrapper;
+    EXPECT_EQ(RunCollected(wrapper, c, factory, few).builds, 0u) << name;
+    ScoreFilter filter(FilterScore::kMutualInformation);
+    EXPECT_EQ(RunCollected(filter, c, factory, few).builds, 1u) << name;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <map>
@@ -13,6 +14,7 @@
 #include "common/parallel_for.h"
 #include "common/thread_pool.h"
 #include "obs/report.h"
+#include "sim/monte_carlo.h"
 
 namespace hamlet {
 namespace {
@@ -275,6 +277,45 @@ TEST(TraceSpanTest, ExplainTreeMergesSpansByNameUnderParent) {
   EXPECT_NE(rendered.find("test.root"), std::string::npos);
   EXPECT_NE(rendered.find("  test.step"), std::string::npos);  // Indented.
   EXPECT_NE(rendered.find("candidates=30"), std::string::npos);
+}
+
+TEST(TraceSpanTest, MergedStagesNeverSumIdentifiers) {
+  obs::ScopedCollection collection(true);
+  SimConfig sim;
+  sim.n_s = 200;
+  sim.n_r = 20;
+  MonteCarloOptions mc;
+  mc.num_training_sets = 2;
+  mc.num_repeats = 4;
+  ASSERT_TRUE(RunMonteCarlo(sim, mc).ok());
+  const obs::Trace trace = obs::Tracer::Global().Collect();
+
+  // Each repeat span keeps its own index...
+  std::vector<int64_t> repeats;
+  for (const obs::TraceEvent& event : trace.events) {
+    if (event.name != "sim.repeat") continue;
+    for (const obs::TraceAttr& attr : event.attrs) {
+      if (attr.key == "repeat") repeats.push_back(attr.number);
+    }
+  }
+  std::sort(repeats.begin(), repeats.end());
+  EXPECT_EQ(repeats, (std::vector<int64_t>{0, 1, 2, 3}));
+
+  // ...but the merged stage sums only its counts: no repeat=6 (0+1+2+3).
+  const obs::TraceSummary summary = obs::SummarizeTrace(trace);
+  bool found = false;
+  for (const obs::StageStat& stage : summary.stages) {
+    if (stage.name != "sim.repeat") continue;
+    found = true;
+    EXPECT_EQ(stage.count, 4u);
+    ASSERT_EQ(stage.numeric_attrs.size(), 1u);
+    EXPECT_EQ(stage.numeric_attrs[0].first, "training_sets");
+    EXPECT_EQ(stage.numeric_attrs[0].second, 8);
+  }
+  EXPECT_TRUE(found);
+  const std::string rendered = obs::RenderExplainTree(trace);
+  EXPECT_EQ(rendered.find("repeat="), std::string::npos) << rendered;
+  EXPECT_NE(rendered.find("training_sets=8"), std::string::npos) << rendered;
 }
 
 TEST(TraceSpanTest, ChromeTraceJsonIsWellFormed) {
