@@ -10,8 +10,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/parallel_for.h"
@@ -28,6 +30,7 @@
 #include "ml/naive_bayes.h"
 #include "ml/suff_stats.h"
 #include "relational/column.h"
+#include "relational/domain.h"
 #include "ml/tan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -133,6 +136,53 @@ void BM_ReadCsvParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadCsvParallel)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
+// --- Domain: building MovieLens1M's RID dictionary (1M `RatingID_<i>`
+// labels, as a declared-domain read does before parsing) and probing it
+// label by label in a scattered order, as the CSV reader's closed-domain
+// check does. ---
+
+struct DomainBenchState {
+  std::vector<std::string> labels;
+  std::vector<std::string> probes;
+
+  static DomainBenchState& Get() {
+    static DomainBenchState* state = [] {
+      auto* s = new DomainBenchState();
+      constexpr uint32_t kLabels = 1000000;
+      for (uint32_t i = 0; i < kLabels; ++i) {
+        s->labels.push_back("RatingID_" + std::to_string(i));
+      }
+      for (uint32_t i = 0; i < kLabels; ++i) {
+        s->probes.push_back(s->labels[(i * 7919ULL) % kLabels]);
+      }
+      return s;
+    }();
+    return *state;
+  }
+};
+
+void BM_DomainBuild(benchmark::State& state) {
+  auto& s = DomainBenchState::Get();
+  for (auto _ : state) {
+    Domain domain(s.labels);
+    benchmark::DoNotOptimize(domain.size());
+  }
+  state.SetItemsProcessed(state.iterations() * s.labels.size());
+}
+BENCHMARK(BM_DomainBuild)->Unit(benchmark::kMillisecond);
+
+void BM_DomainCodeOf(benchmark::State& state) {
+  auto& s = DomainBenchState::Get();
+  const Domain domain(s.labels);
+  for (auto _ : state) {
+    uint64_t sum = 0;
+    for (const std::string& probe : s.probes) sum += domain.CodeOf(probe);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * s.probes.size());
+}
+BENCHMARK(BM_DomainCodeOf)->Unit(benchmark::kMillisecond);
+
 // --- HashJoin: the pre-PR label-keyed build/probe (frozen baseline) vs
 // the code-level CSR implementation, 1M probe rows against a 10k-row
 // build side. Distinct-but-equal key domains force a real DomainRemap in
@@ -189,11 +239,11 @@ Table BaselineHashJoin(const Table& left, const Table& right,
   std::unordered_map<std::string, std::vector<uint32_t>> build;
   build.reserve(right.num_rows());
   for (uint32_t row = 0; row < right.num_rows(); ++row) {
-    build[rcol.label(row)].push_back(row);
+    build[std::string(rcol.label(row))].push_back(row);
   }
   std::vector<uint32_t> l_rows, r_rows;
   for (uint32_t row = 0; row < left.num_rows(); ++row) {
-    auto it = build.find(lcol.label(row));
+    auto it = build.find(std::string(lcol.label(row)));
     if (it == build.end()) continue;
     for (uint32_t r_row : it->second) {
       l_rows.push_back(row);

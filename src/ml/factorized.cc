@@ -102,7 +102,7 @@ Result<FactorizedDataset> FactorizedDataset::Make(
         return Status::InvalidArgument(StringFormat(
             "referential integrity violation: FK value '%s' has no matching "
             "RID in '%s'",
-            fk.label(row).c_str(), r->name().c_str()));
+            std::string(fk.label(row)).c_str(), r->name().c_str()));
       }
     }
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -100,7 +101,7 @@ class Column {
   }
 
   /// Label at `row` (dictionary lookup).
-  const std::string& label(uint32_t row) const {
+  std::string_view label(uint32_t row) const {
     return domain_->label(code(row));
   }
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/parallel_for.h"
 #include "common/string_util.h"
@@ -30,6 +29,12 @@ obs::Counter& RowsCounter() {
 obs::Histogram& ReadLatency() {
   static obs::Histogram& h =
       obs::MetricsRegistry::Global().GetHistogram("ingest.read_ns");
+  return h;
+}
+
+obs::Histogram& FrameLatency() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("ingest.frame_ns");
   return h;
 }
 
@@ -124,21 +129,73 @@ struct ChunkStart {
   size_t line = 0;
 };
 
-/// Serial framing pre-scan: walks the body once with the quoting state
-/// machine and records a record-start boundary at (roughly) every
-/// `body.size()/n_chunks` bytes. Boundaries land only on true record
-/// starts — a quoted field spanning lines never gets split — so each
-/// chunk parses independently from a clean state.
+/// Serial framing pre-scan: records a record-start boundary at
+/// (roughly) every `body.size()/n_chunks` bytes. Boundaries land only on
+/// true record starts — a quoted field spanning lines never gets split —
+/// so each chunk parses independently from a clean state.
+///
+/// Before the body's first '"' no quoting state exists: every newline
+/// ends a record, so memchr finds the first one at or past each target
+/// and std::count numbers the lines in between. From the first '"' on,
+/// the quoting state machine runs byte by byte. It starts unquoted, with
+/// `field_empty` read off the last byte before the quote that is not a
+/// dropped '\r'. Either way the boundaries and line numbers are those of
+/// a byte-by-byte scan from the start.
 std::vector<ChunkStart> PlanChunks(std::string_view body, size_t start_line,
                                    uint32_t n_chunks, char delimiter) {
   std::vector<ChunkStart> starts{{0, start_line}};
   if (n_chunks <= 1 || body.empty()) return starts;
   size_t line = start_line;
-  bool in_quotes = false;
-  bool field_empty = true;
   uint32_t next = 1;
   size_t target = body.size() * next / n_chunks;
-  for (size_t i = 0; i < body.size(); ++i) {
+  // Called with `line` numbering the record that starts at `record_start`.
+  // Returns true once every boundary is placed.
+  auto at_record_start = [&](size_t record_start) {
+    if (record_start >= target && record_start < body.size()) {
+      starts.push_back({record_start, line});
+      do {
+        ++next;
+        target = body.size() * next / n_chunks;
+      } while (next < n_chunks && target <= record_start);
+    }
+    return next >= n_chunks;
+  };
+
+  // A delimiter that is itself a quote, newline or '\r' changes what those
+  // bytes mean, so such files take the state machine from byte 0.
+  size_t i = 0;
+  if (delimiter != '"' && delimiter != '\n' && delimiter != '\r') {
+    const char* data = body.data();
+    const void* quote = std::memchr(data, '"', body.size());
+    const size_t prefix = quote != nullptr
+                              ? static_cast<size_t>(
+                                    static_cast<const char*>(quote) - data)
+                              : body.size();
+    size_t counted = 0;  // Newlines in [0, counted) are in `line`.
+    for (;;) {
+      // A record starting at or past `target` ends a line at target - 1
+      // or later.
+      const size_t from = std::max(counted, target > 0 ? target - 1 : 0);
+      if (from >= prefix) break;
+      const char* nl = static_cast<const char*>(
+          std::memchr(data + from, '\n', prefix - from));
+      if (nl == nullptr) break;
+      line += static_cast<size_t>(std::count(data + counted, nl + 1, '\n'));
+      counted = static_cast<size_t>(nl - data) + 1;
+      if (at_record_start(counted) || counted == body.size()) return starts;
+    }
+    line += static_cast<size_t>(
+        std::count(data + counted, data + prefix, '\n'));
+    i = prefix;
+  }
+  bool in_quotes = false;
+  bool field_empty = true;
+  for (size_t k = i; k > 0; --k) {
+    if (body[k - 1] == '\r') continue;
+    field_empty = body[k - 1] == delimiter || body[k - 1] == '\n';
+    break;
+  }
+  for (; i < body.size(); ++i) {
     const char ch = body[i];
     if (in_quotes) {
       if (ch == '"') {
@@ -159,15 +216,7 @@ std::vector<ChunkStart> PlanChunks(std::string_view body, size_t start_line,
     } else if (ch == '\n') {
       ++line;
       field_empty = true;
-      const size_t record_start = i + 1;
-      if (next < n_chunks && record_start >= target &&
-          record_start < body.size()) {
-        starts.push_back({record_start, line});
-        do {
-          ++next;
-          target = body.size() * next / n_chunks;
-        } while (next < n_chunks && target <= record_start);
-      }
+      if (at_record_start(i + 1)) break;
     } else if (ch != '\r') {
       field_empty = false;
     }
@@ -194,13 +243,14 @@ struct ParseContext {
   bool strict = true;
 };
 
-/// One chunk's parse result. Fresh-column codes are chunk-local (indices
-/// into `labels[col]`, first-occurrence order); fixed-column codes are
-/// final. The merge translates local codes in chunk order, which
-/// reproduces the serial reader's first-occurrence global order exactly.
+/// One chunk's parse result. Fresh-column codes are chunk-local (codes
+/// in `dicts[col]`, first-occurrence order); fixed-column codes are
+/// final and their `dicts` entry stays empty. The merge translates local
+/// codes in chunk order, which reproduces the serial reader's
+/// first-occurrence global order exactly.
 struct ChunkOutput {
   std::vector<std::vector<uint32_t>> codes;
-  std::vector<std::vector<std::string>> labels;
+  std::vector<Domain> dicts;
   Status status = Status::OK();
   uint32_t rows = 0;
 };
@@ -212,8 +262,7 @@ class ChunkParser {
       : ctx_(ctx), out_(out) {
     const uint32_t n_cols = ctx_.schema->num_columns();
     out_->codes.resize(n_cols);
-    out_->labels.resize(n_cols);
-    local_index_.resize(n_cols);
+    out_->dicts.resize(n_cols);
     row_codes_.resize(n_cols);
   }
 
@@ -363,18 +412,7 @@ class ChunkParser {
     }
     for (uint32_t c = 0; c < n_cols; ++c) {
       if ((*ctx_.fixed)[c] != nullptr) continue;
-      const std::string_view value = FieldView(extents_[c]);
-      auto& index = local_index_[c];
-      auto it = index.find(value);
-      if (it != index.end()) {
-        row_codes_[c] = it->second;
-      } else {
-        const uint32_t code =
-            static_cast<uint32_t>(out_->labels[c].size());
-        out_->labels[c].emplace_back(value);
-        index.emplace(std::string(value), code);
-        row_codes_[c] = code;
-      }
+      row_codes_[c] = out_->dicts[c].GetOrAdd(FieldView(extents_[c]));
     }
     for (uint32_t c = 0; c < n_cols; ++c) {
       out_->codes[c].push_back(row_codes_[c]);
@@ -388,11 +426,6 @@ class ChunkParser {
   std::vector<FieldExtent> extents_;
   std::vector<uint32_t> row_codes_;
   std::string scratch_;
-  /// Per fresh column: label -> chunk-local code, probed heterogeneously
-  /// so in-buffer fields never materialize a temporary key.
-  std::vector<
-      std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>>
-      local_index_;
 };
 
 }  // namespace
@@ -407,6 +440,11 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
                                  std::vector<std::shared_ptr<Domain>> domains,
                                  const CsvOptions& options) {
   obs::TraceSpan span("ingest.csv");
+  if (domains.size() != schema.num_columns()) {
+    return Status::InvalidArgument(StringFormat(
+        "'%s': %zu domains given for a schema of %u columns", path.c_str(),
+        domains.size(), schema.num_columns()));
+  }
 
   std::string buffer;
   {
@@ -503,8 +541,11 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
   const size_t max_chunks = body.size() / min_chunk + 1;
   n_chunks = static_cast<uint32_t>(
       std::min<size_t>(std::max<uint32_t>(n_chunks, 1), max_chunks));
-  const std::vector<ChunkStart> starts =
-      PlanChunks(body, body_line, n_chunks, options.delimiter);
+  std::vector<ChunkStart> starts;
+  {
+    obs::ScopedLatency latency(FrameLatency());
+    starts = PlanChunks(body, body_line, n_chunks, options.delimiter);
+  }
 
   std::vector<ChunkOutput> outs(starts.size());
   {
@@ -526,51 +567,41 @@ Result<Table> ReadCsvWithDomains(const std::string& path,
     if (!out.status.ok()) return out.status;
   }
 
-  // Deterministic merge: per column, walk the chunks in order, extend
-  // the (fresh) global dictionary with each chunk's labels in local
-  // first-occurrence order, and translate local codes through a one-shot
-  // uint32 remap. Chunk order == row order, so the global dictionary
-  // comes out in exactly the serial reader's first-occurrence order.
+  // Deterministic merge: per column, the first chunk's local dictionary
+  // becomes the (fresh) global one as is, each later chunk extends it
+  // with its labels in local first-occurrence order, and its local codes
+  // translate through a one-shot uint32 remap. Chunk order == row order,
+  // so the global dictionary comes out in exactly the serial reader's
+  // first-occurrence order.
   std::vector<uint64_t> row_offset(outs.size() + 1, 0);
   for (size_t j = 0; j < outs.size(); ++j) {
     row_offset[j + 1] = row_offset[j] + outs[j].rows;
   }
   const uint64_t total_rows = row_offset[outs.size()];
-  std::vector<bool> fresh(num_columns);
-  for (uint32_t c = 0; c < num_columns; ++c) {
-    fresh[c] = domains[c] == nullptr;
-    if (fresh[c]) domains[c] = std::make_shared<Domain>();
-  }
   std::vector<std::vector<uint32_t>> final_codes(num_columns);
   {
     obs::ScopedLatency latency(MergeLatency());
     // Columns are independent (distinct fresh Domain objects; fixed
     // domains are read-only), so the merge shards per column.
     ParallelFor(num_columns, options.num_threads, [&](uint32_t c) {
-      std::vector<uint32_t>& out = final_codes[c];
-      if (outs.size() == 1) {
-        // Single chunk: the local codes are already the global codes. A
-        // fresh column's (empty) global dictionary extends in the local
-        // first-occurrence order, so the translation is the identity;
-        // fixed-column codes were final all along. Move, don't copy.
-        if (fresh[c]) {
-          for (const std::string& label : outs[0].labels[c]) {
-            domains[c]->GetOrAdd(label);
-          }
-        }
-        out = std::move(outs[0].codes[c]);
-        return;
+      const bool fresh = domains[c] == nullptr;
+      if (fresh) {
+        domains[c] = std::make_shared<Domain>(std::move(outs[0].dicts[c]));
       }
+      // The first chunk's codes are already global; a single-chunk read
+      // moves both its codes and its dictionary into place.
+      std::vector<uint32_t>& out = final_codes[c];
+      out = std::move(outs[0].codes[c]);
       out.resize(total_rows);
       std::vector<uint32_t> translate;
-      for (size_t j = 0; j < outs.size(); ++j) {
+      for (size_t j = 1; j < outs.size(); ++j) {
         const std::vector<uint32_t>& chunk_codes = outs[j].codes[c];
         uint64_t pos = row_offset[j];
-        if (fresh[c]) {
-          const std::vector<std::string>& labels = outs[j].labels[c];
-          translate.resize(labels.size());
-          for (uint32_t l = 0; l < labels.size(); ++l) {
-            translate[l] = domains[c]->GetOrAdd(labels[l]);
+        if (fresh) {
+          const Domain& local = outs[j].dicts[c];
+          translate.resize(local.size());
+          for (uint32_t l = 0; l < local.size(); ++l) {
+            translate[l] = domains[c]->GetOrAdd(local.label(l));
           }
           for (uint32_t code : chunk_codes) out[pos++] = translate[code];
         } else {
@@ -605,16 +636,16 @@ Result<Table> ReadCsv(const std::string& path, std::string table_name,
 
 namespace {
 
-void WriteField(std::ostream& os, const std::string& field, char delimiter) {
+void WriteField(std::ostream& os, std::string_view field, char delimiter) {
   // '\r' must be quoted too (the reader drops unquoted carriage
   // returns), and so must the empty field: a single-column row with an
   // empty label would otherwise print as a blank line, which the reader
   // skips.
   bool needs_quotes = field.empty() ||
-                      field.find(delimiter) != std::string::npos ||
-                      field.find('"') != std::string::npos ||
-                      field.find('\n') != std::string::npos ||
-                      field.find('\r') != std::string::npos;
+                      field.find(delimiter) != std::string_view::npos ||
+                      field.find('"') != std::string_view::npos ||
+                      field.find('\n') != std::string_view::npos ||
+                      field.find('\r') != std::string_view::npos;
   if (!needs_quotes) {
     os << field;
     return;

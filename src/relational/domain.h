@@ -12,15 +12,22 @@
 /// (dom(FK) = set of RID values in R) structural rather than a runtime
 /// convention.
 ///
-/// Lookups are heterogeneous (std::string_view), so hot paths — the
-/// chunked CSV parser, DomainRemap construction — never materialize a
-/// temporary std::string just to probe the index.
+/// A Domain is flat: every label's bytes live in one arena, indexed by a
+/// per-code end offset, and the label -> code index is an open-addressing
+/// table of (hash tag, code) slots that compares probes against the
+/// arena. A million-label RID dictionary is therefore three allocations,
+/// not a million strings plus a million hash nodes, to build and to free.
+/// Codes are handed out in insertion order, so the hash never decides a
+/// code. Lookups take std::string_view, so hot paths (the chunked CSV
+/// parser, DomainRemap construction) never materialize a std::string.
+///
+/// Const methods are safe to call concurrently; GetOrAdd is not, and it
+/// may move the arena, which invalidates views label() returned earlier.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -28,27 +35,25 @@
 
 namespace hamlet {
 
-/// Transparent hash so the label index accepts std::string_view probes
-/// without constructing a std::string key.
-struct StringViewHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
 /// A finite, ordered set of category labels with O(1) label<->code lookup.
 class Domain {
  public:
+  /// The code CodeOf reports for an absent label; never a real code.
+  static constexpr uint32_t kNoCode = UINT32_MAX;
+
   Domain() = default;
 
   /// Builds a domain from distinct labels. Duplicate labels are a
   /// programming error (checked).
-  explicit Domain(std::vector<std::string> labels);
+  explicit Domain(const std::vector<std::string>& labels);
 
   /// Creates the domain {"0","1",...,"<n-1>"} — handy for synthetic data
   /// and integer-coded categories.
   static std::shared_ptr<Domain> Dense(uint32_t n, const std::string& prefix = "");
+
+  /// The hash that places a label in the index (its low bits pick the
+  /// home slot, all 32 bits are the slot's tag).
+  static uint32_t Hash(std::string_view label);
 
   /// Returns the code of `label`, adding it if absent.
   uint32_t GetOrAdd(std::string_view label);
@@ -58,30 +63,53 @@ class Domain {
 
   /// Like Lookup but without a Status on miss: returns kNoCode when the
   /// label is absent. The code-level join/ingest paths use this form.
-  static constexpr uint32_t kNoCode = UINT32_MAX;
-  uint32_t CodeOf(std::string_view label) const {
-    auto it = index_.find(label);
-    return it == index_.end() ? kNoCode : it->second;
-  }
+  uint32_t CodeOf(std::string_view label) const;
 
   /// True iff the label is present.
   bool Contains(std::string_view label) const {
-    return index_.find(label) != index_.end();
+    return CodeOf(label) != kNoCode;
   }
 
-  /// The label for a code; code must be < size().
-  const std::string& label(uint32_t code) const;
+  /// The label for a code; code must be < size(). The view points into
+  /// the arena and stays valid until the next GetOrAdd.
+  std::string_view label(uint32_t code) const;
 
   /// Number of categories.
-  uint32_t size() const { return static_cast<uint32_t>(labels_.size()); }
+  uint32_t size() const { return static_cast<uint32_t>(ends_.size()); }
 
-  /// All labels in code order.
-  const std::vector<std::string>& labels() const { return labels_; }
+  /// All labels in code order (a copy).
+  std::vector<std::string> labels() const;
+
+  /// Slots in the index (a power of two, or 0 while empty).
+  size_t capacity() const { return slots_.size(); }
 
  private:
-  std::vector<std::string> labels_;
-  std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>
-      index_;
+  /// One index entry; code == kNoCode marks an empty slot.
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t code = kNoCode;
+  };
+
+  std::string_view LabelAt(uint32_t code) const {
+    const uint64_t begin = code == 0 ? 0 : ends_[code - 1];
+    return std::string_view(arena_.data() + begin, ends_[code] - begin);
+  }
+
+  /// The slot holding `label`, or the empty slot that ends its probe
+  /// chain. The index must be non-empty.
+  size_t Probe(std::string_view label, uint32_t tag) const;
+
+  /// The first empty slot of `tag`'s probe chain.
+  size_t FreeSlot(uint32_t tag) const;
+
+  /// Grows the index to hold `n` labels at a load factor of at most 3/4,
+  /// re-placing every slot by its tag (no label is re-hashed).
+  void Reserve(size_t n);
+
+  std::string arena_;
+  /// ends_[c] is one past label c's last byte in arena_.
+  std::vector<uint64_t> ends_;
+  std::vector<Slot> slots_;
 };
 
 /// A one-shot code→code translation between two domains, so joins probe

@@ -78,8 +78,9 @@ Result<std::vector<uint32_t>> BuildFkRowIndex(const Column& fk,
     if (fk_code == DomainRemap::kNoCode) continue;  // Never referenced by S.
     if (fk_code >= rid_to_row.size()) continue;
     if (rid_to_row[fk_code] != kNoFkRow) {
-      return Status::InvalidArgument(StringFormat(
-          "duplicate RID '%s' in attribute table", rid.label(row).c_str()));
+      return Status::InvalidArgument(
+          StringFormat("duplicate RID '%s' in attribute table",
+                       std::string(rid.label(row)).c_str()));
     }
     rid_to_row[fk_code] = row;
   }
@@ -181,7 +182,7 @@ Result<Table> KfkJoin(const Table& s, const Table& r,
     return Status::InvalidArgument(StringFormat(
         "referential integrity violation: FK value '%s' has no matching "
         "RID in '%s'",
-        fk.label(failure.index()).c_str(), r.name().c_str()));
+        std::string(fk.label(failure.index())).c_str(), r.name().c_str()));
   }
   RowsEmittedCounter().Add(s.num_rows());
   if (span.active()) span.AddAttr("rows_emitted", s.num_rows());

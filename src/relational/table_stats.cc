@@ -33,7 +33,7 @@ TableStats ComputeTableStats(const Table& table) {
     if (!counts.empty() && table.num_rows() > 0) {
       uint32_t top = static_cast<uint32_t>(
           std::max_element(counts.begin(), counts.end()) - counts.begin());
-      cs.top_label = col.domain()->label(top);
+      cs.top_label = std::string(col.domain()->label(top));
       cs.top_share = static_cast<double>(counts[top]) /
                      static_cast<double>(table.num_rows());
     }

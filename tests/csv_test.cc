@@ -426,6 +426,29 @@ TEST_F(CsvTest, LenientSkipsDoNotPolluteDictionaries) {
   }
 }
 
+// The domain vector must name one entry per schema column; a short or
+// long one is a typed error, reported before the file is even opened.
+TEST_F(CsvTest, DomainCountMustMatchSchema) {
+  Schema schema({ColumnSpec::Feature("A"), ColumnSpec::Feature("B")});
+  const std::string missing = ::testing::TempDir() + "/hamlet_csv_no_such.csv";
+  auto closed = std::make_shared<Domain>(std::vector<std::string>{"x"});
+  for (size_t n : {0u, 1u, 3u}) {
+    std::vector<std::shared_ptr<Domain>> domains(n, nullptr);
+    if (n > 0) domains[0] = closed;
+    auto t = ReadCsvWithDomains(missing, "T", schema, domains);
+    ASSERT_FALSE(t.ok()) << n;
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument) << n;
+    EXPECT_NE(t.status().message().find(std::to_string(n) + " domains"),
+              std::string::npos)
+        << t.status();
+  }
+  // The right count reads the same bytes fine.
+  std::string path = WriteTemp("A,B\nx,y\n");
+  auto t = ReadCsvWithDomains(path, "T", schema, {closed, nullptr});
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_EQ(t->column(1).label(0), "y");
+}
+
 TEST_F(CsvTest, CustomDelimiter) {
   std::string path = WriteTemp("A|B\n1|2\n");
   Schema schema({ColumnSpec::Feature("A"), ColumnSpec::Feature("B")});

@@ -203,11 +203,11 @@ Result<Table> LegacyHashJoin(const Table& left, const Table& right,
 
   std::unordered_map<std::string, std::vector<uint32_t>> build;
   for (uint32_t row = 0; row < right.num_rows(); ++row) {
-    build[rcol.label(row)].push_back(row);
+    build[std::string(rcol.label(row))].push_back(row);
   }
   std::vector<uint32_t> l_rows, r_rows;
   for (uint32_t row = 0; row < left.num_rows(); ++row) {
-    auto it = build.find(lcol.label(row));
+    auto it = build.find(std::string(lcol.label(row)));
     if (it == build.end()) continue;
     for (uint32_t r_row : it->second) {
       l_rows.push_back(row);
